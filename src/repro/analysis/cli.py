@@ -24,8 +24,7 @@ Commands (each has its own ``--help`` with examples):
 * ``repro-tls worker`` — a fleet worker agent: connect to a sweep
   coordinator, pull job chunks, push bit-identical result envelopes
   (``sweep --dispatch fleet`` starts the coordinator side).
-* ``repro-tls cache`` — cache maintenance: ``stats`` and ``migrate``
-  (one-shot move of a pre-shard flat layout into ``<key[:2]>/`` shards).
+* ``repro-tls cache stats`` — the result cache's backend and entry count.
 
 ``--smoke`` (on ``bench``/``validate``/``report``) means: small
 workloads at scale 0.1, a fixed two-app subset where applicable,
@@ -316,23 +315,12 @@ def _run_cache(args: argparse.Namespace) -> int:
     import json as _json
 
     from repro.runner import ResultCache
-    from repro.runner.cache import migrate_flat_layout
 
     cache = (ResultCache(args.cache_dir) if args.cache_dir
              else ResultCache())
-    if args.cache_command == "migrate":
-        counts = migrate_flat_layout(cache.root)
-        print(f"migrated {counts['migrated']} flat entries into shards "
-              f"({counts['skipped_existing']} already sharded, "
-              f"{counts['ignored']} non-entry files left alone)")
-        return 0
-    # stats (the default)
     print(_json.dumps({
         "backend": cache.describe(),
         "entries": len(cache),
-        "flat_entries": sum(
-            1 for _ in cache.root.glob("*.json")) if cache.root.is_dir()
-        else 0,
     }, indent=2))
     return 0
 
@@ -351,7 +339,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         return 0
     report = run_bench(smoke=args.smoke, jobs=args.jobs, seed=args.seed,
                        output=args.bench_output,
-                       kernel_compare=args.compare_kernel,
                        fleet=args.fleet)
     print(render_report(report))
     dispatch = report.get("dispatch")
@@ -365,11 +352,6 @@ def _run_bench(args: argparse.Namespace) -> int:
         return 1
     if args.check_floor and not report["floor"]["passed"]:
         print("FAIL: engine throughput below the committed perf floor",
-              file=sys.stderr)
-        return 1
-    if (args.compare_kernel
-            and not report["kernel_compare"]["byte_identical"]):
-        print("FAIL: kernel and reference drain loops diverged",
               file=sys.stderr)
         return 1
     return 0
@@ -683,7 +665,7 @@ examples:
   repro-tls sweep --server http://127.0.0.1:8321 --apps Euler
   repro-tls sweep --dispatch fleet --workers 2 --apps Euler
   repro-tls worker --connect 127.0.0.1:8422  # join a remote fleet
-  repro-tls cache migrate              # flat layout -> sharded layout
+  repro-tls cache stats                # result-cache backend + entries
 """
 
 
@@ -807,10 +789,6 @@ examples:
                               "localhost worker subprocesses: serial vs "
                               "fleet wall-clock + byte-identity on the "
                               "16-cell grid (the 'dispatch' report block)")
-    p_bench.add_argument("--compare-kernel", action="store_true",
-                         help="also A/B the REPRO_TLS_KERNEL drain loop "
-                              "against the reference loop (byte-identity "
-                              "gate)")
     p_bench.add_argument("--profile", action="store_true",
                          help="skip the bench; cProfile one representative "
                               "cell and write the top-30 cumulative listing")
@@ -1075,25 +1053,20 @@ examples:
     p_worker.set_defaults(func=_run_worker)
 
     p_cache = sub.add_parser(
-        "cache", help="result-cache maintenance: stats and migrate",
+        "cache", help="result-cache maintenance: stats",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="""\
 examples:
   repro-tls cache stats                      # entry counts + backend
-  repro-tls cache migrate                    # flat layout -> <key[:2]>/ shards
-  repro-tls cache migrate --cache-dir /var/tmp/tls
+  repro-tls cache stats --cache-dir /var/tmp/tls
 """)
-    csub = p_cache.add_subparsers(dest="cache_command", metavar="subcommand")
+    csub = p_cache.add_subparsers(metavar="subcommand")
     c_stats = csub.add_parser(
         "stats", help="entry counts and backend description")
-    c_migrate = csub.add_parser(
-        "migrate", help="move a pre-shard flat cache layout into the "
-                        "sharded layout (one-shot, atomic per entry)")
-    for c_parser in (c_stats, c_migrate):
-        c_parser.add_argument("--cache-dir", default=None, metavar="DIR",
-                              help="cache root (default: the standard "
-                                   "cache directory)")
-        c_parser.set_defaults(func=_run_cache)
+    c_stats.add_argument("--cache-dir", default=None, metavar="DIR",
+                         help="cache root (default: the standard cache "
+                              "directory)")
+    c_stats.set_defaults(func=_run_cache)
     p_cache.set_defaults(func=lambda _a: (p_cache.print_help(), 2)[1])
 
     return parser

@@ -30,10 +30,9 @@ violations — is preserved to memory-latency resolution.
 
 from __future__ import annotations
 
-import os
 import time
-from bisect import bisect_right, insort
-from typing import Any, Callable
+from bisect import bisect_right
+from typing import Callable
 
 from repro.core.config import MachineConfig
 from repro.core.events import BucketQueue
@@ -62,52 +61,19 @@ from repro.workloads.base import Workload
 
 _MAX_EVENTS_DEFAULT = 50_000_000
 
-#: Shift equivalents used by the batched drain loop's inlined fast paths:
+#: Shift equivalents used by the drain loop's inline paths:
 #: ``line_of(word) == word >> _LINE_SHIFT`` for the power-of-two line size,
 #: and the packed cache residency key from :mod:`repro.memsys.cache`.
 _LINE_SHIFT = WORDS_PER_LINE.bit_length() - 1
 assert 1 << _LINE_SHIFT == WORDS_PER_LINE
 _KEY_SHIFT = KEY_SHIFT
-assert KEY_BIAS == 2  # the inline fast paths hard-code the +2 bias
+assert KEY_BIAS == 2  # the inline read path hard-codes the +2 bias
 
 #: Version tag of the engine's timing model. Bump whenever a change alters
 #: simulated timing or statistics: the on-disk result cache
 #: (:mod:`repro.runner.cache`) keys every entry on this tag, so stale
 #: results from an older engine are never replayed as current ones.
 ENGINE_VERSION = "2"
-
-#: Environment switch for the opt-in batch-drain kernel (engine-core v3):
-#: any non-empty value other than "0"/"false"/"off" makes
-#: :meth:`Simulation.run` dispatch unobserved runs through
-#: :mod:`repro.core._kernel` instead of the in-class reference loop. The
-#: kernel module mirrors the reference loop statement for statement and
-#: is written in the mypyc-compilable subset, so an ahead-of-time
-#: compiled build can shadow it; either way the simulated behaviour is
-#: bit-identical (CI runs the golden corpus on both legs), which is why
-#: flipping the switch requires no ENGINE_VERSION bump.
-KERNEL_ENV = "REPRO_TLS_KERNEL"
-
-
-def kernel_requested() -> bool:
-    """True when :data:`KERNEL_ENV` asks for the opt-in drain kernel."""
-    value = os.environ.get(KERNEL_ENV, "")
-    return value.lower() not in ("", "0", "false", "off")
-
-
-def kernel_info() -> dict[str, Any]:
-    """Describe the kernel configuration (for bench reports and CI logs).
-
-    ``enabled`` — whether :data:`KERNEL_ENV` selects the kernel path;
-    ``compiled`` — whether the kernel module is an ahead-of-time
-    compiled extension (False means the same Python source runs, which
-    is still a valid A/B leg for byte-equality checks).
-    """
-    from repro.core import _kernel
-
-    return {
-        "enabled": kernel_requested(),
-        "compiled": not _kernel.__file__.endswith(".py"),
-    }
 
 
 class Simulation:
@@ -143,8 +109,8 @@ class Simulation:
         self.high_level_patterns = high_level_patterns
         #: Optional structured event trace (see repro.core.trace).
         self.trace = trace
-        #: Optional observation hook (see repro.core.hooks). ``None`` keeps
-        #: the event loop free of any per-event work beyond one branch.
+        #: Optional observation hook (see repro.core.hooks). ``None`` costs
+        #: the event loop one branch per batch of same-time events.
         self.hook = hook
         if violation_granularity not in ("word", "line"):
             raise ConfigurationError(
@@ -240,9 +206,6 @@ class Simulation:
         for run in self.runs.values():
             run.step_kind, run.step_word, run.step_busy = compile_steps(
                 run.spec, ipc)
-        # Opt-in drain kernel (resolved once per simulation so tests can
-        # flip the environment switch between runs).
-        self._use_kernel = kernel_requested()
 
         # Statistics.
         self.traffic = TrafficStats()
@@ -275,11 +238,11 @@ class Simulation:
     def run(self) -> SimulationResult:
         """Execute the workload to completion and return the result.
 
-        The event loop comes in two compiled-in variants — with and
-        without an observation hook — selected once here, so an
-        unobserved run's dispatch path carries no per-event hook test at
-        all (attaching a hook swaps the dispatch loop rather than
-        flipping a flag the loop would have to re-check).
+        Observed and unobserved runs drain events through the same loop,
+        :meth:`_drain_events`: a hooked run (the invariant checker, the
+        metrics hook, the conformance oracle) executes exactly the code
+        every production result comes from, and an unhooked run pays one
+        branch per batch for the hook.
         """
         started = time.perf_counter()
         for proc in self.procs:
@@ -288,14 +251,7 @@ class Simulation:
         if hook is not None:
             hook.on_start(self)
         try:
-            if hook is not None:
-                self._drain_events_hooked(hook)
-            elif self._use_kernel:
-                from repro.core import _kernel
-
-                _kernel.drain(self)
-            else:
-                self._drain_events()
+            self._drain_events(None if hook is None else hook.after_event)
         finally:
             self._wall_clock_seconds = time.perf_counter() - started
         result = self._build_result()
@@ -303,36 +259,47 @@ class Simulation:
             hook.on_finish(self, result)
         return result
 
-    def _drain_events(self) -> None:
-        """Hot batched dispatch loop (no hook attached) — engine-core v3.
+    def _drain_events(
+        self,
+        after_event: "Callable[[Simulation, float], None] | None" = None,
+    ) -> None:
+        """The engine's one event loop.
 
-        Reference implementation of the batch-drain kernel; the opt-in
-        compiled path (:mod:`repro.core._kernel`, selected via
-        :data:`KERNEL_ENV`) mirrors this loop statement for statement,
-        and CI asserts both produce byte-identical results. Keep the two
-        in lock-step when editing either.
-
-        Structure: :meth:`BucketQueue.pop_batch
+        :meth:`BucketQueue.pop_batch
         <repro.core.events.BucketQueue.pop_batch>` hands over every
         event sharing the minimum timestamp in exact ``(when, seq)``
-        order, so the clock write, queue probes, and policy flags are
-        paid once per batch instead of once per event. Within the batch,
-        the overwhelmingly common event — an op completion whose next
-        step is a busy burst, an L1-resident read, or an L1-resident
-        write — is executed inline against the flat state columns
-        (compiled task steps, interned cache slots, interned directory
-        rows, flat in-flight/accounting columns); every other case falls
-        back to the same :meth:`_advance` / :meth:`_task_done` methods
-        the hooked loop uses, so there is exactly one implementation of
-        the protocol's hard cases. Op completions travel with
-        ``fn=None`` (see :meth:`_schedule_op_done`); the inline path and
-        :meth:`_op_done` are mutation-for-mutation identical, which is
-        what keeps this rewrite bit-identical with no ENGINE_VERSION
-        bump.
+        order, so the clock write, queue probes and policy flags are
+        paid once per batch instead of once per event. An observed run
+        pops one event per batch with :meth:`BucketQueue.pop
+        <repro.core.events.BucketQueue.pop>` (the same order) and calls
+        ``after_event(sim, when)`` after each batch, so the hook sees
+        every event; an unobserved run pays one ``is not None`` test per
+        batch for it.
+
+        Op completions travel with ``fn=None`` (see
+        :meth:`_schedule_completion`) and this loop is their only
+        implementation. Two cases of the step that follows are executed
+        inline against the flat state columns, for the engine time they
+        save (interleaved A/B against this loop without the path,
+        112-cell Figure 9-11 grid at scale 0.1; see EXPERIMENTS.md):
+
+        * an L1 read hit on the exact version — median 5.6%, slower
+          without it in 16 of 16 rounds;
+        * a busy burst — median 1.4-2.7%, slower without it in 23 of 32
+          rounds.
+
+        Every other step — any write, an L1 miss, line-granularity
+        mode — takes :meth:`_advance`, the reference implementation.
         """
         # Bind everything the loop touches to locals once.
         events = self._events
-        pop_batch = events.pop_batch
+        if after_event is None:
+            pop_batch = events.pop_batch
+        else:
+            pop = events.pop
+
+            def pop_batch() -> list:
+                return [pop()]
         push = events.push
         max_events = self.max_events
         processed = self._events_processed
@@ -345,7 +312,6 @@ class Simulation:
         dstats = directory.stats
         l1_keys = [p.l1._key_slot for p in procs]
         l1_touch = [p.l1._touch for p in procs]
-        l1_dirty = [p.l1._dirty for p in procs]
         l1_stats = [p.l1.stats for p in procs]
         accounts = [p.account._cycles for p in procs]
         inflight_start = self._inflight_start
@@ -353,11 +319,10 @@ class Simulation:
         inflight_mem = self._inflight_mem
         inflight_live = self._inflight_live
         lat_l1 = self._lat_l1f
-        is_sv = self._is_sv
-        # The inline read/write paths implement word-granularity
-        # violation tracking only; the conservative line-granularity
-        # mode takes the method path for every memory op.
-        fast_rw = not self._line_gran
+        # The inline read path implements word-granularity violation
+        # tracking only; the conservative line-granularity mode takes the
+        # method path for every memory op.
+        fast_read = not self._line_gran
         try:
             while not self._finished:
                 if not events:
@@ -382,17 +347,17 @@ class Simulation:
                         if self._finished:
                             break
                         continue
-                    # ---- op completion (inlined _op_done) ----
+                    # ---- op completion ----
                     proc, epoch, run, attempt, busy, mem = event[3]
                     if proc.epoch != epoch or run.attempt != attempt:
-                        continue  # aborted by a squash
+                        continue  # aborted by a squash; charged there
                     pid = proc.proc_id
                     inflight_live[pid] = False
                     account = accounts[pid]
                     account[0] += busy   # CycleCategory.BUSY
                     account[1] += mem    # CycleCategory.MEMORY
                     run.attempt_busy += busy
-                    # ---- advance (inlined) ----
+                    # ---- next step ----
                     kinds = run.step_kind
                     i = run.op_index
                     if i == len(kinds):
@@ -413,158 +378,63 @@ class Simulation:
                         push((when + step_busy, seq, None,
                               (proc, epoch, run, attempt, step_busy, 0.0)))
                         continue
-                    if fast_rw:
+                    if kind == STEP_READ and fast_read:
+                        # version_for_read against the interned rows.
                         word = run.step_word[i]
                         tid = run.spec.task_id
-                        if kind == STEP_READ:
-                            # version_for_read against the interned rows.
-                            row = dir_rows.get(word)
-                            if row is None:
-                                producer = ARCH_TASK_ID
-                            else:
-                                producers = dir_producers[row]
-                                idx = (bisect_right(producers, tid)
-                                       if producers else 0)
-                                producer = (producers[idx - 1] if idx
-                                            else ARCH_TASK_ID)
-                            line = word >> _LINE_SHIFT
-                            slot = l1_keys[pid].get(
-                                (line << _KEY_SHIFT) + producer + 2)
-                            if slot is not None:
-                                # L1 hit on the exact version: touch,
-                                # record the read, complete at L1 latency.
-                                l1_touch[pid][slot] = when
-                                l1_stats[pid].hits += 1
-                                dstats.reads += 1
-                                if producer != tid:
-                                    if producer != ARCH_TASK_ID:
-                                        dstats.forwarded_reads += 1
-                                    if row is None:
-                                        row = len(dir_words)
-                                        dir_rows[word] = row
-                                        dir_producers.append([])
-                                        dir_readers.append({tid: producer})
-                                        dir_words.append(word)
-                                    else:
-                                        readers = dir_readers[row]
-                                        previous = readers.get(tid)
-                                        if (previous is None
-                                                or producer < previous):
-                                            readers[tid] = producer
-                                    run.read_words.add(word)
-                                observed = run.observed_reads
-                                if word not in observed:
-                                    observed[word] = producer
-                                run.op_index = i + 1
-                                inflight_start[pid] = when
-                                inflight_busy[pid] = 0.0
-                                inflight_mem[pid] = lat_l1
-                                inflight_live[pid] = True
-                                seq = self._seq + 1
-                                self._seq = seq
-                                push((when + lat_l1, seq, None,
-                                      (proc, epoch, run, attempt,
-                                       0.0, lat_l1)))
-                                continue
-                        elif not is_sv:
-                            # Write hitting the task's own L1 version.
-                            line = word >> _LINE_SHIFT
-                            slot = l1_keys[pid].get(
-                                (line << _KEY_SHIFT) + tid + 2)
-                            if slot is not None:
-                                l1_touch[pid][slot] = when
-                                l1_stats[pid].hits += 1
-                                l1_dirty[pid][slot] = 1
-                                words = run.words_by_line.get(line)
-                                if words is None:
-                                    run.words_by_line[line] = {word}
-                                else:
-                                    words.add(word)
-                                # record_write against the interned rows.
-                                dstats.writes += 1
-                                row = dir_rows.get(word)
+                        row = dir_rows.get(word)
+                        if row is None:
+                            producer = ARCH_TASK_ID
+                        else:
+                            producers = dir_producers[row]
+                            idx = (bisect_right(producers, tid)
+                                   if producers else 0)
+                            producer = (producers[idx - 1] if idx
+                                        else ARCH_TASK_ID)
+                        line = word >> _LINE_SHIFT
+                        slot = l1_keys[pid].get(
+                            (line << _KEY_SHIFT) + producer + 2)
+                        if slot is not None:
+                            # L1 hit on the exact version: touch, record
+                            # the read, complete at L1 latency.
+                            l1_touch[pid][slot] = when
+                            l1_stats[pid].hits += 1
+                            dstats.reads += 1
+                            if producer != tid:
+                                if producer != ARCH_TASK_ID:
+                                    dstats.forwarded_reads += 1
                                 if row is None:
-                                    dir_rows[word] = len(dir_words)
-                                    dir_producers.append([tid])
-                                    dir_readers.append({})
+                                    row = len(dir_words)
+                                    dir_rows[word] = row
+                                    dir_producers.append([])
+                                    dir_readers.append({tid: producer})
                                     dir_words.append(word)
                                 else:
-                                    producers = dir_producers[row]
-                                    idx = bisect_right(producers, tid)
-                                    if idx == 0 or producers[idx - 1] != tid:
-                                        insort(producers, tid)
                                     readers = dir_readers[row]
-                                    if readers:
-                                        violated = [
-                                            reader
-                                            for reader, seen
-                                            in readers.items()
-                                            if reader > tid and seen < tid
-                                        ]
-                                        if violated:
-                                            dstats.violations += 1
-                                            self._squash(min(violated), when)
-                                run.op_index = i + 1
-                                inflight_start[pid] = when
-                                inflight_busy[pid] = 0.0
-                                inflight_mem[pid] = lat_l1
-                                inflight_live[pid] = True
-                                seq = self._seq + 1
-                                self._seq = seq
-                                push((when + lat_l1, seq, None,
-                                      (proc, epoch, run, attempt,
-                                       0.0, lat_l1)))
-                                continue
-                    # Anything else — L1 miss, SV write, line-granularity
-                    # mode, FMM first write, overflow refetch — takes the
-                    # reference method path from the current step.
+                                    previous = readers.get(tid)
+                                    if (previous is None
+                                            or producer < previous):
+                                        readers[tid] = producer
+                                run.read_words.add(word)
+                            observed = run.observed_reads
+                            if word not in observed:
+                                observed[word] = producer
+                            run.op_index = i + 1
+                            inflight_start[pid] = when
+                            inflight_busy[pid] = 0.0
+                            inflight_mem[pid] = lat_l1
+                            inflight_live[pid] = True
+                            seq = self._seq + 1
+                            self._seq = seq
+                            push((when + lat_l1, seq, None,
+                                  (proc, epoch, run, attempt,
+                                   0.0, lat_l1)))
+                            continue
                     self._advance(proc, when)
                     if self._finished:
                         break
-        finally:
-            self._events_processed = processed
-
-    def _drain_events_hooked(self, hook: "SimulationHook") -> None:
-        """Batched dispatch loop variant with an observation hook.
-
-        Identical semantics to :meth:`_drain_events`, with two
-        differences: every event goes through the reference methods
-        (no inline fast path — observed runs are not the hot path), and
-        ``after_event`` fires after each event, including the one that
-        finishes the simulation.
-        """
-        events = self._events
-        pop_batch = events.pop_batch
-        max_events = self.max_events
-        processed = self._events_processed
-        after_event = hook.after_event
-        op_done = self._op_done
-        try:
-            while not self._finished:
-                if not events:
-                    raise SimulationError(
-                        f"event queue empty before completion "
-                        f"(committed {self.commit.next_to_commit}/"
-                        f"{self.commit.n_tasks})"
-                    )
-                batch = pop_batch()
-                when = batch[0][0]
-                self.now = when
-                for event in batch:
-                    processed += 1
-                    if processed > max_events:
-                        raise SimulationError(
-                            f"exceeded {self.max_events} events; "
-                            f"likely livelock"
-                        )
-                    fn = event[2]
-                    if fn is None:
-                        op_done(*event[3], when)
-                    else:
-                        fn(*event[3], when)
+                if after_event is not None:
                     after_event(self, when)
-                    if self._finished:
-                        break
         finally:
             self._events_processed = processed
 
@@ -592,14 +462,14 @@ class Simulation:
     def _advance(self, proc: Processor, now: float) -> None:
         """Process the current task's next step, or complete the task.
 
-        Reference implementation of one advance: the batched drain loops
-        inline the common cases (busy burst, L1-resident read/write) and
-        fall back here for everything else. Steps come from the compiled
-        flat columns (:func:`~repro.tls.task.compile_steps`): compute
-        instructions are already coalesced into single busy bursts that
-        complete in one event, and memory operations are performed with
-        no pending busy time, so violation interleavings and stall starts
-        are observed at their true simulated times.
+        Reference implementation of one advance: the drain loop inlines
+        the busy burst and the L1-resident read and falls back here for
+        everything else. Steps come from the compiled flat columns
+        (:func:`~repro.tls.task.compile_steps`): compute instructions are
+        already coalesced into single busy bursts that complete in one
+        event, and memory operations are performed with no pending busy
+        time, so violation interleavings and stall starts are observed at
+        their true simulated times.
         """
         run = proc.current
         if run is None:
@@ -612,8 +482,8 @@ class Simulation:
         kind = kinds[i]
         if kind == STEP_BUSY:
             run.op_index = i + 1
-            self._schedule_op_done(proc, run, now, busy=run.step_busy[i],
-                                   mem=0.0)
+            self._schedule_completion(proc, run, now,
+                                      busy=run.step_busy[i], mem=0.0)
             return
         word = run.step_word[i]
         if kind == STEP_WRITE and self._is_sv:
@@ -630,10 +500,12 @@ class Simulation:
         else:
             latency, extra_busy = self._do_write(proc, run, word, now)
         run.op_index = i + 1
-        self._schedule_op_done(proc, run, now, busy=extra_busy, mem=latency)
+        self._schedule_completion(proc, run, now, busy=extra_busy,
+                                  mem=latency)
 
-    def _schedule_op_done(self, proc: Processor, run: TaskRun, now: float,
-                          *, busy: float, mem: float) -> None:
+    def _schedule_completion(self, proc: Processor, run: TaskRun,
+                             now: float, *, busy: float,
+                             mem: float) -> None:
         pid = proc.proc_id
         self._inflight_start[pid] = now
         self._inflight_busy[pid] = busy
@@ -642,30 +514,13 @@ class Simulation:
         # Direct push: durations are non-negative by construction, so the
         # scheduling-into-the-past check of _schedule is redundant here.
         # Op completions are marked with fn=None instead of a bound method:
-        # the drain loops recognize the marker and run the completion
-        # inline (or via _op_done on the hooked path).
+        # the drain loop recognizes the marker and runs the completion
+        # inline.
         self._seq += 1
         self._events.push((
             now + busy + mem, self._seq, None,
             (proc, proc.epoch, run, run.attempt, busy, mem),
         ))
-
-    def _op_done(
-        self,
-        proc: Processor,
-        epoch: int,
-        run: TaskRun,
-        attempt: int,
-        busy: float,
-        mem: float,
-        now: float,
-    ) -> None:
-        if proc.epoch != epoch or run.attempt != attempt:
-            return  # aborted by a squash; accounting handled there
-        self._inflight_live[proc.proc_id] = 0
-        proc.account.add_op(busy, mem)
-        run.attempt_busy += busy
-        self._advance(proc, now)
 
     def _task_done(self, proc: Processor, run: TaskRun, now: float) -> None:
         run.state = TaskState.DONE

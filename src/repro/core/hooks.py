@@ -2,11 +2,11 @@
 
 A :class:`SimulationHook` passed to :class:`~repro.core.engine.Simulation`
 is called around the event loop: once before the first event, after every
-processed event, and once when the run completes. Attaching a hook selects
-a separate dispatch-loop variant compiled with the per-event callback
-baked in; an unhooked run drains events through a loop that contains no
-hook test at all, so observation costs nothing unless requested — and the
-hot loop stays allocation-free either way.
+processed event, and once when the run completes. Observed and unobserved
+runs share the engine's one drain loop, so a hook watches exactly the
+code every production result comes from. An observed run drains one
+event per batch and calls ``after_event`` after each; an unobserved run
+pays one ``is not None`` branch per batch of same-time events.
 
 Hooks are *observers*: they may read any engine state but must not mutate
 it, schedule events, or otherwise perturb the simulated machine. The

@@ -770,6 +770,8 @@ class FleetDispatcher:
         self.worker_cache_dir = worker_cache_dir
         self._procs: list[Any] = []
         self._started = False
+        #: Whether a batch has already seen ``min_workers`` registered.
+        self._quorum_met = False
 
     # ------------------------------------------------------------------
     def start(self) -> "FleetDispatcher":
@@ -801,6 +803,7 @@ class FleetDispatcher:
         if self._started:
             self.coordinator.stop()
             self._started = False
+            self._quorum_met = False
 
     def __enter__(self) -> "FleetDispatcher":
         return self.start()
@@ -828,10 +831,17 @@ class FleetDispatcher:
 
     def compute(self, pending: Sequence[tuple[str, Any]],
                 on_result: Callable[[str, bytes], None]) -> None:
-        """Ship the batch to the fleet; deliver payloads as they land."""
+        """Ship the batch to the fleet; deliver payloads as they land.
+
+        Only the first batch waits for ``min_workers`` to register; later
+        batches need one connected worker, so the survivors of a lost
+        worker carry on instead of each batch waiting out
+        ``start_timeout`` for a replacement.
+        """
         self.start()
-        self.coordinator.wait_for_workers(self.min_workers,
-                                          self.start_timeout)
+        needed = 1 if self._quorum_met else self.min_workers
+        self.coordinator.wait_for_workers(needed, self.start_timeout)
+        self._quorum_met = True
         self.coordinator.execute(
             pending,
             lambda key, zraw: on_result(key, zlib.decompress(zraw)))

@@ -113,7 +113,9 @@ class LocalPoolDispatcher:
 
         ``on_result`` is called at most once per key: if the pool dies
         part-way through collection and the serial fallback re-runs the
-        batch, already delivered keys are skipped.
+        batch, already delivered keys are skipped. An exception raised
+        by ``on_result`` itself propagates unchanged; it is never taken
+        for a pool failure.
         """
         from repro.runner.runner import (
             _encode_payload,
@@ -135,6 +137,7 @@ class LocalPoolDispatcher:
             job_list = [job for _key, job in pending]
             chunks = [job_list[i:i + chunk_size]
                       for i in range(0, len(job_list), chunk_size)]
+            delivering = False
             try:
                 with ProcessPoolExecutor(
                     max_workers=min(self.jobs, len(chunks))
@@ -143,9 +146,13 @@ class LocalPoolDispatcher:
                     self.stats.chunks += len(chunks)
                     for chunk_result in pool.map(_worker_chunk, chunks):
                         for key, raw in chunk_result:
+                            delivering = True
                             _deliver(key, zlib.decompress(raw))
+                            delivering = False
                 return
             except (OSError, ImportError):
+                if delivering:
+                    raise  # the sink's error, not the pool's
                 # Pool creation can fail in constrained sandboxes
                 # (no /dev/shm, fork limits); fall back to serial.
                 self.stats.pool_failures += 1

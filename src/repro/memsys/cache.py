@@ -18,7 +18,7 @@ Storage layout (engine-core v3): resident state lives in flat parallel
 
 * ``_key_slot`` — one dict from the packed ``(line_addr, task_id)`` tag
   (see :data:`KEY_SHIFT`) to the slot index: the single probe behind
-  :meth:`find` and the engine's inlined L1 fast paths;
+  :meth:`find` and the engine's inline L1 read-hit path;
 * ``_dirty`` / ``_committed`` — ``bytearray`` flag columns;
 * ``_touch`` — the LRU timestamp column (what a hit actually writes);
 * ``_line`` / ``_task`` / ``_view`` — the reverse mapping from a slot to

@@ -5,10 +5,11 @@ A :class:`MetricsHook` attached to a :class:`~repro.core.engine.Simulation`
 :class:`MetricsRegistry` of named counters and histograms over the run:
 squash/restart events, overflow-area spills and refetches, VCL merges,
 version-directory lookups, network messages, commit-wait and token-hold
-cycles. When no hook is attached the engine pays exactly one predictable
-``hook is not None`` branch per event — the metrics layer costs nothing
-when disabled, which is what keeps untraced runs bit-identical to
-instrumented ones (asserted by ``tests/test_obs.py``).
+cycles. When no hook is attached the engine pays one ``is not None``
+branch per batch of same-time events, so the metrics layer costs next to
+nothing when disabled. Instrumented runs take the same drain loop as
+plain ones and stay bit-identical to them (asserted by
+``tests/test_obs.py``).
 
 The hook works by *differencing*: the engine already maintains its
 statistics (``sim.traffic``, the violation counters, the directory's

@@ -55,8 +55,6 @@ for _index, _category in enumerate(CycleCategory):
     _category.index = _index
 _N_CATEGORIES = len(CycleCategory)
 _STALL_INDICES = tuple(c.index for c in STALL_CATEGORIES)
-_BUSY_INDEX = CycleCategory.BUSY.index
-_MEMORY_INDEX = CycleCategory.MEMORY.index
 
 
 class CycleAccount:
@@ -80,17 +78,6 @@ class CycleAccount:
                 f"negative cycle charge {cycles} for {category}"
             )
         self._cycles[category.index] += cycles
-
-    def add_op(self, busy: float, mem: float) -> None:
-        """Accrue one completed operation's busy and memory cycles.
-
-        Fast path for the engine's per-event completion handler: both
-        charges are scheduled durations, non-negative by construction, so
-        the sanity check of :meth:`add` is skipped.
-        """
-        cycles = self._cycles
-        cycles[_BUSY_INDEX] += busy
-        cycles[_MEMORY_INDEX] += mem
 
     def total(self) -> float:
         """Sum across all categories."""

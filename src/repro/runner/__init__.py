@@ -18,7 +18,6 @@ from repro.runner.cache import (
     ResultCache,
     ShardedResultCache,
     default_cache_root,
-    migrate_flat_layout,
     shard_of,
 )
 from repro.runner.jobs import SimJob, WorkloadSpec
@@ -54,7 +53,6 @@ __all__ = [
     "canonical_payload_digest",
     "default_cache_root",
     "default_jobs",
-    "migrate_flat_layout",
     "execute_job",
     "payload_from_result",
     "result_from_payload",

@@ -77,11 +77,15 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     evictions: int = 0
+    #: Computed results the tier failed to persist (full disk, read-only
+    #: mount): the sweep kept them, uncached.
+    store_errors: int = 0
 
     def to_dict(self) -> dict[str, int]:
         """JSON-ready counter snapshot (for ``/v1/cache/stats``)."""
         return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "evictions": self.evictions}
+                "stores": self.stores, "evictions": self.evictions,
+                "store_errors": self.store_errors}
 
 
 #: Default entry bound for the in-memory tier. A full paper sweep is a
@@ -332,41 +336,6 @@ class ShardedResultCache:
         if describe is not None:
             return str(describe())
         return type(self.backend).__name__
-
-
-def migrate_flat_layout(root: str | Path) -> dict[str, int]:
-    """One-shot migration of a pre-shard flat cache into shard layout.
-
-    Releases before the sharded tier stored entries as
-    ``<root>/<key>.json`` directly; the sharded layout looks for
-    ``<root>/<key[:2]>/<key>.json``, so a flat directory silently
-    re-misses every warm entry. This moves each top-level
-    ``<hex key>.json`` into its shard (atomic ``os.replace`` within one
-    filesystem). An entry that already exists in the shard layout wins:
-    the stale flat duplicate is deleted, not copied over it. Non-entry
-    files (wrong name shape) are left untouched and counted.
-
-    Returns counters: ``migrated``, ``skipped_existing``, ``ignored``.
-    Exposed as ``repro-tls cache migrate``.
-    """
-    root = Path(root)
-    counts = {"migrated": 0, "skipped_existing": 0, "ignored": 0}
-    if not root.is_dir():
-        return counts
-    for path in sorted(root.glob("*.json")):
-        key = path.stem
-        if _SAFE_KEY_RE.fullmatch(key) is None or not path.is_file():
-            counts["ignored"] += 1
-            continue
-        dest = root / shard_of(key) / f"{key}.json"
-        if dest.exists():
-            path.unlink()
-            counts["skipped_existing"] += 1
-            continue
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        os.replace(path, dest)
-        counts["migrated"] += 1
-    return counts
 
 
 class ResultCache(ShardedResultCache):

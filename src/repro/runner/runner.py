@@ -304,10 +304,18 @@ SingleFlight`) instead of repeating them. Lookup order per distinct job:
 
         if pending:
             def _landed(key: str, raw: bytes) -> None:
-                """One computed payload: store, publish, decode, notify."""
+                """One computed payload: store, publish, decode, notify.
+
+                A shared-tier store that fails (full disk, read-only
+                mount) leaves the result computed but not cached: it is
+                counted in ``cache.stats.store_errors`` and still served.
+                """
                 self.memory_cache.store(key, raw)
                 if self.cache is not None:
-                    self.cache.store_raw(key, raw)
+                    try:
+                        self.cache.store_raw(key, raw)
+                    except OSError:
+                        self.cache.stats.store_errors += 1
                 by_key[key] = result_from_payload(json.loads(raw))
                 self.flights.resolve(key, owned[key], raw)
                 _notify(key, "computed")

@@ -21,9 +21,9 @@ protocol operations (:meth:`version_for_read`, :meth:`record_read`,
 :meth:`record_write`, :meth:`latest_version_at_most`) run several times
 per simulated memory op; one shared interning dict plus list indexing
 replaces the two independent per-word dict probes of the v2 layout, and
-the engine's batched drain loop binds the columns directly for its
-inlined read/write fast paths (which must mirror the methods here
-mutation for mutation).
+the engine's drain loop binds the columns directly for its inline L1
+read-hit path (which must mirror :meth:`version_for_read` and
+:meth:`record_read` mutation for mutation).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Three entry points, mirroring the synthetic-app pipeline end to end:
   provenance metadata framing) share one cache entry, while any edit to
   an op stream or header field misses.
 * **Capture** — :class:`repro.obs.capture.TraceCaptureHook` rides the
-  zero-overhead :mod:`repro.core.hooks` interface and dumps the workload
+  :mod:`repro.core.hooks` observer interface and dumps the workload
   a simulation executed back out as a trace on completion. The
   differential contract — capture a synthetic run, replay the trace,
   get byte-identical ``canonical_result_bytes`` under every scheme — is

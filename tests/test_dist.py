@@ -20,6 +20,7 @@ subprocess agent, without interpreter startup); one end-to-end test
 drives the CLI with genuine worker subprocesses.
 """
 
+import errno
 import socket
 import struct
 import threading
@@ -180,6 +181,25 @@ def test_local_pool_serial_path_delivers_each_key_once():
     assert [canonical_result_bytes(
         result_from_payload(json.loads(landed[j.cache_key()])))
         for j in jobs] == reference
+
+
+def test_local_pool_propagates_a_sink_error_unchanged():
+    # An exception raised while delivering a result (say, a full disk
+    # under the cache store) is the caller's, not the pool's: it must
+    # surface as-is, not count as a pool failure and re-run the batch.
+    jobs = _grid(machines=(NUMA_16,), n_schemes=2)
+    dispatcher = LocalPoolDispatcher(jobs=2, chunk_size=1)
+    disk_full = OSError(errno.ENOSPC, "No space left on device")
+
+    def sink(_key, _raw):
+        raise disk_full
+
+    with pytest.raises(OSError) as raised:
+        dispatcher.compute([(j.cache_key(), j) for j in jobs], sink)
+    assert raised.value is disk_full
+    assert dispatcher.stats.pool_batches == 1
+    assert dispatcher.stats.pool_failures == 0
+    assert dispatcher.stats.serial_batches == 0
 
 
 # ----------------------------------------------------------------------
@@ -347,6 +367,40 @@ def test_worker_short_circuits_warm_keys(fleet, tmp_path):
     agent.request_drain()
     thread.join(timeout=10)
     assert agent.cache_hits == warm_count
+
+
+def test_a_lost_worker_does_not_stall_later_batches():
+    # Only the first batch waits for min_workers: once one of two
+    # workers has left, the survivor carries the next sweep instead of
+    # the sweep waiting out start_timeout for a replacement and failing.
+    dispatcher = FleetDispatcher(
+        min_workers=2, start_timeout=5, result_timeout=60,
+        backoff_base=0.05, backoff_cap=0.2)
+    dispatcher.start()
+    try:
+        agents = [_start_agent(dispatcher) for _ in range(2)]
+        runner = SweepRunner(cache=None, dispatcher=dispatcher)
+        runner.run_many(_grid(machines=(NUMA_16,), n_schemes=2, seed=19))
+        leaving, leaving_thread = agents[0]
+        leaving.request_drain()
+        leaving_thread.join(timeout=10)
+        deadline = time.monotonic() + 5
+        while (dispatcher.coordinator.worker_count > 1
+               and time.monotonic() < deadline):
+            time.sleep(0.02)
+        assert dispatcher.coordinator.worker_count == 1
+
+        jobs = _grid(machines=(NUMA_16,), n_schemes=2, seed=20)
+        reference = _serial_bytes(jobs)
+        started = time.monotonic()
+        results = runner.run_many(jobs)
+        assert time.monotonic() - started < dispatcher.start_timeout
+        assert [canonical_result_bytes(r) for r in results] == reference
+        survivor, survivor_thread = agents[1]
+        survivor.request_drain()
+        survivor_thread.join(timeout=10)
+    finally:
+        dispatcher.stop()
 
 
 def test_idle_worker_drains_gracefully(fleet):

@@ -11,6 +11,7 @@ Contracts under test (see ``repro.runner.cache``):
 * a result is bit-identical no matter which tier replays it.
 """
 
+import errno
 import json
 
 from repro.core.config import NUMA_16
@@ -26,7 +27,6 @@ from repro.runner import (
     SimJob,
     SweepRunner,
     WorkloadSpec,
-    migrate_flat_layout,
     shard_of,
 )
 
@@ -139,7 +139,8 @@ def test_sharded_cache_over_a_dict_backend():
     assert key in cache
     assert len(cache) == 1
     assert cache.stats.to_dict() == {"hits": 1, "misses": 1,
-                                     "stores": 1, "evictions": 0}
+                                     "stores": 1, "evictions": 0,
+                                     "store_errors": 0}
     assert cache.describe() == "DictBackend"
     assert cache.clear() == 1
     assert len(cache) == 0
@@ -235,31 +236,30 @@ def test_raw_and_decoded_paths_see_the_same_payload(tmp_path):
     assert cache.load(key) == payload
 
 
-def test_migrate_flat_layout_moves_entries_into_shards(tmp_path):
-    key_a = "ab" + "0" * 62
-    key_b = "cd" + "1" * 62
-    (tmp_path / f"{key_a}.json").write_text('{"kind": "flat-a"}')
-    (tmp_path / f"{key_b}.json").write_text('{"kind": "flat-b"}')
-    (tmp_path / "notes.json").write_text("{}")
+# ----------------------------------------------------------------------
+# A failing shared tier
+# ----------------------------------------------------------------------
+class FullDiskBackend(DirectoryBackend):
+    """A directory tier on a full disk: every ``put`` fails."""
 
-    counts = migrate_flat_layout(tmp_path)
-    assert counts == {"migrated": 2, "skipped_existing": 0, "ignored": 1}
-    assert not (tmp_path / f"{key_a}.json").exists()
-
-    cache = ResultCache(tmp_path)
-    assert cache.load(key_a) == {"kind": "flat-a"}
-    assert cache.load(key_b) == {"kind": "flat-b"}
-    # Migration is idempotent: nothing flat remains to move.
-    assert migrate_flat_layout(tmp_path)["migrated"] == 0
+    def put(self, key, raw):
+        raise OSError(errno.ENOSPC, "No space left on device")
 
 
-def test_migrate_flat_layout_prefers_the_sharded_copy(tmp_path):
-    key = "ee" + "2" * 62
-    cache = ResultCache(tmp_path)
-    cache.store(key, {"kind": "sharded"})
-    (tmp_path / f"{key}.json").write_text('{"kind": "stale-flat"}')
-
-    counts = migrate_flat_layout(tmp_path)
-    assert counts["skipped_existing"] == 1
-    assert not (tmp_path / f"{key}.json").exists()
-    assert ResultCache(tmp_path).load(key) == {"kind": "sharded"}
+def test_full_disk_degrades_to_computed_not_cached(tmp_path):
+    jobs = [_job(), _job(seed=1)]
+    reference = [canonical_result_bytes(r)
+                 for r in SweepRunner(jobs=1, cache=None).run_many(jobs)]
+    cache = ShardedResultCache(FullDiskBackend(tmp_path))
+    # Two pending cells in one-job chunks take the process-pool path.
+    runner = SweepRunner(jobs=2, cache=cache, chunk_size=1)
+    results = runner.run_many(jobs)
+    assert [canonical_result_bytes(r) for r in results] == reference
+    assert cache.stats.store_errors == 2
+    assert cache.stats.stores == 0
+    assert len(cache) == 0
+    assert all(job.cache_key() in runner.memory_cache for job in jobs)
+    assert len(runner.flights) == 0
+    pool = runner.dispatcher.stats
+    assert (pool.pool_batches, pool.pool_failures, pool.serial_batches) \
+        == (1, 0, 0)

@@ -93,6 +93,27 @@ def test_hooks_observe_every_event():
         assert recorder.events == result.events_processed
 
 
+def test_checked_runs_take_the_production_path(monkeypatch):
+    # An observed run must execute the code every production result
+    # comes from: attaching a hook may not reroute events through the
+    # reference methods instead of the drain loop's inline paths.
+    advance = Simulation._advance
+    calls = {"plain": 0, "hooked": 0}
+
+    def counted(self, proc, now):
+        calls["plain" if self.hook is None else "hooked"] += 1
+        advance(self, proc, now)
+
+    monkeypatch.setattr(Simulation, "_advance", counted)
+    spec = WorkloadSpec("Euler", seed=0, scale=0.03)
+    plain = Simulation(NUMA_16, MULTI_T_MV_LAZY, spec.generate()).run()
+    hooked = Simulation(NUMA_16, MULTI_T_MV_LAZY, spec.generate(),
+                        hook=SimulationHook()).run()
+    assert calls["plain"] > 0
+    assert calls["hooked"] == calls["plain"]
+    assert canonical_result_bytes(hooked) == canonical_result_bytes(plain)
+
+
 def test_deep_every_must_be_positive():
     with pytest.raises(ValueError):
         InvariantChecker(deep_every=0)
