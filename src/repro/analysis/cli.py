@@ -306,7 +306,8 @@ def _run_worker(args: argparse.Namespace) -> int:
         print(f"worker error: {exc}", file=sys.stderr)
         return 2
     print(f"worker {summary['worker_id']}: {summary['chunks']} chunks, "
-          f"{summary['jobs']} jobs ({summary['cache_hits']} cache hits)"
+          f"{summary['jobs']} jobs ({summary['cache_hits']} cache hits, "
+          f"{summary['store_errors']} store errors)"
           f"{', drained' if summary['drained'] else ''}")
     return 0
 

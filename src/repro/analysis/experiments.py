@@ -69,7 +69,10 @@ class ExperimentContext:
     cache, and fans cache misses out across a process pool. Figure entry
     points batch their whole (scheme x app) grid through
     :meth:`prefetch` so independent simulations run concurrently; the
-    in-memory memo then serves the per-cell lookups.
+    in-memory memo then serves the per-cell lookups. Each (machine,
+    scheme, app) cell is one :class:`~repro.runner.SimJob` object per
+    context, so its cache key is derived once however often the figures
+    ask for the cell.
     """
 
     def __init__(self, scale: float = 1.0, seed: int = 0,
@@ -86,6 +89,10 @@ class ExperimentContext:
             runner = SweepRunner(jobs=jobs, cache=disk_cache)
         self.runner = runner
         self._workloads: dict[str, Workload] = {}
+        #: One job per (machine, scheme, app) cell, keyed by the machine
+        #: *object* (``id``; the job keeps the machine alive), never by
+        #: its display name: two machines sharing a name stay apart.
+        self._jobs: dict[tuple[int, Scheme | None, str], SimJob] = {}
         #: In-memory memo keyed by the job's content address, so two
         #: machines that happen to share a display name never collide.
         self._results: dict[str, SimulationResult | SequentialResult] = {}
@@ -103,19 +110,25 @@ class ExperimentContext:
     # ------------------------------------------------------------------
     def _job(self, machine: MachineConfig, scheme: Scheme | None,
              app: str) -> SimJob:
-        return SimJob(
-            machine=machine,
-            workload=WorkloadSpec(app, seed=self.seed, scale=self.scale),
-            scheme=scheme,
-        )
+        cell = (id(machine), scheme, app)
+        job = self._jobs.get(cell)
+        if job is None:
+            job = self._jobs[cell] = SimJob(
+                machine=machine,
+                workload=WorkloadSpec(app, seed=self.seed, scale=self.scale),
+                scheme=scheme,
+            )
+        return job
 
     def submit(self, jobs: list[SimJob]) -> list:
         """Run a batch of jobs through the runner, memoizing each result."""
-        missing = [j for j in jobs if j.cache_key() not in self._results]
+        keys = [job.cache_key() for job in jobs]
+        missing = {key: job for key, job in zip(keys, jobs)
+                   if key not in self._results}
         if missing:
-            for job, result in zip(missing, self.runner.run_many(missing)):
-                self._results[job.cache_key()] = result
-        return [self._results[j.cache_key()] for j in jobs]
+            self._results.update(zip(
+                missing, self.runner.run_many(list(missing.values()))))
+        return [self._results[key] for key in keys]
 
     def prefetch(self, machine: MachineConfig, apps: tuple[str, ...],
                  schemes: tuple[Scheme, ...],

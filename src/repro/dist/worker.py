@@ -183,11 +183,15 @@ class WorkerAgent:
 
         Every job resolves through the cache first (``source: "cache"``)
         and stores its freshly computed payload back, so the fleet and
-        the local pool leave identical cache artifacts.
+        the local pool leave identical cache artifacts. The runner's
+        rules hold here too: an entry that does not decode is a miss,
+        computed and overwritten, and a store that fails (full disk) is
+        "computed, not cached", counted in ``cache.stats.store_errors``.
         """
         from repro.runner.runner import (
             _encode_payload,
             canonical_payload_digest,
+            decode_payload,
             execute_job,
             payload_from_result,
         )
@@ -195,17 +199,21 @@ class WorkerAgent:
         envelopes: list[tuple[str, str, str, bytes]] = []
         for job in jobs:
             key = job.cache_key()
-            raw = self.cache.load_raw(key) if self.cache is not None \
-                else None
-            if raw is not None:
+            hit = (self.cache.load_checked(key, decode_payload)
+                   if self.cache is not None else None)
+            if hit is not None:
                 source = "cache"
+                raw = hit[0]
                 self.cache_hits += 1
             else:
                 source = "computed"
                 raw = _encode_payload(
                     payload_from_result(execute_job(job)))
                 if self.cache is not None:
-                    self.cache.store_raw(key, raw)
+                    try:
+                        self.cache.store_raw(key, raw)
+                    except OSError:
+                        self.cache.stats.store_errors += 1
             digest = ("0" * 64 if self.forge_digest
                       else canonical_payload_digest(raw))
             envelopes.append((key, digest, source, zlib.compress(raw, 1)))
@@ -299,6 +307,8 @@ class WorkerAgent:
             "chunks": self.chunks_done,
             "jobs": self.jobs_done,
             "cache_hits": self.cache_hits,
+            "store_errors": (self.cache.stats.store_errors
+                             if self.cache is not None else 0),
             "drained": self._drain.is_set(),
             "died": died,
         }

@@ -26,6 +26,7 @@ from repro.runner.runner import (
     PROGRESS_SOURCES,
     SweepRunner,
     canonical_payload_digest,
+    decode_payload,
     default_jobs,
     execute_job,
     payload_from_result,
@@ -51,6 +52,7 @@ __all__ = [
     "SweepRunner",
     "WorkloadSpec",
     "canonical_payload_digest",
+    "decode_payload",
     "default_cache_root",
     "default_jobs",
     "execute_job",

@@ -9,17 +9,17 @@ serialization of the result, so a cache replay reconstructs the exact
 The stack is layered:
 
 * :class:`MemoryResultCache` — a bounded in-process LRU of serialized
-  payload *bytes*. It stores bytes rather than decoded dicts because
-  payload deserialization (:func:`~repro.runner.runner.result_from_payload`)
-  mutates its input; handing every replay a fresh ``json.loads`` of the
-  stored bytes keeps hits side-effect-free and bit-identical.
+  payload *bytes*: the very bytes the shared tier holds and the service
+  splices into its responses. A consumer that needs the result object
+  decodes its own copy, so no two callers share a mutable result.
 * :class:`ShardedResultCache` — the shared tier: payload-level
   load/store semantics over a pluggable :class:`CacheBackend` byte
   store. The default :class:`DirectoryBackend` shards entries into
   2-hex-prefix subdirectories (256 shards) with atomic writes, so
   concurrent sweep workers, multiple service frontends, and unrelated
   processes can all share one cache directory (local or NFS) safely; a
-  corrupt or truncated entry is treated as a miss and overwritten.
+  corrupt or truncated entry is treated as a miss and overwritten
+  (:meth:`ShardedResultCache.load_checked`).
   Alternative backends (an object store, a remote cache daemon) only
   need the four :class:`CacheBackend` methods.
 * :class:`ResultCache` — the historical name for the directory-backed
@@ -36,7 +36,7 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Iterable, Protocol, runtime_checkable
 
 #: Environment variable overriding the default cache location.
 CACHE_ENV_VAR = "REPRO_TLS_CACHE"
@@ -96,8 +96,8 @@ DEFAULT_MEMORY_ENTRIES = 256
 class MemoryResultCache:
     """Bounded in-process LRU tier holding serialized payload bytes.
 
-    ``load``/``store`` speak ``bytes`` (compact JSON); the runner decodes
-    on every hit so no caller can mutate another caller's payload. A hit
+    ``load``/``store`` speak ``bytes`` (compact JSON): a computed
+    payload, or a disk hit that decoded when it was checked. A hit
     refreshes recency; capacity overflow evicts the least recently used
     entry and counts it in :attr:`stats.evictions <CacheStats.evictions>`.
     """
@@ -280,6 +280,26 @@ class ShardedResultCache:
             return None
         self.stats.hits += 1
         return raw
+
+    def load_checked(
+        self, key: str, decode: Callable[[bytes], Any],
+    ) -> tuple[bytes, Any] | None:
+        """``(bytes, decode(bytes))`` for ``key``, or ``None`` on a miss.
+
+        An entry ``decode`` raises on (truncated, empty, not JSON, a
+        missing field) is a miss: counted as one, and left in place for
+        the recomputed result to overwrite.
+        """
+        raw = self.load_raw(key)
+        if raw is None:
+            return None
+        try:
+            value = decode(raw)
+        except Exception:  # noqa: BLE001 - any decode failure is a miss
+            self.stats.hits -= 1
+            self.stats.misses += 1
+            return None
+        return raw, value
 
     def load(self, key: str) -> dict[str, Any] | None:
         """The decoded payload for ``key``; invalid JSON is a miss."""

@@ -78,6 +78,10 @@ def _workload_fingerprint(
     return {"kind": "explicit", **workload_to_dict(workload)}
 
 
+#: Attribute :meth:`SimJob.cache_key` memoizes the key under.
+_KEY_MEMO = "_cache_key"
+
+
 @dataclass(frozen=True)
 class SimJob:
     """One simulation to execute: (machine x scheme x workload x options).
@@ -170,6 +174,23 @@ class SimJob:
         }
 
     def cache_key(self) -> str:
-        """SHA-256 content address of this job's result."""
-        blob = json.dumps(self.identity(), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        """SHA-256 content address of this job's result.
+
+        Derived once per job object and memoized on the frozen instance
+        (the fields never change after construction, so neither does
+        the key).
+        """
+        key = self.__dict__.get(_KEY_MEMO)
+        if key is None:
+            blob = json.dumps(self.identity(), sort_keys=True)
+            key = hashlib.sha256(blob.encode()).hexdigest()
+            object.__setattr__(self, _KEY_MEMO, key)
+        return key
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The key memo stays out of the pickle: pool and fleet job
+        # pickles are byte-identical to an unkeyed job's, and workers
+        # derive their own keys.
+        state = self.__dict__.copy()
+        state.pop(_KEY_MEMO, None)
+        return state

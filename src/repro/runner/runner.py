@@ -19,8 +19,10 @@ simulations through. It
   chunks to remote workers;
 * ships worker results back as zlib-compressed JSON bytes (one compact
   buffer per job instead of a pickled object graph), and
-* reconstructs every pooled or replayed result through the same full
-  JSON serialization, so a result is bit-identical (see
+* keeps every result as those payload bytes through all the tiers
+  (:meth:`SweepRunner.resolve_raw`), decoding a distinct cell once, at
+  the edge, only for a caller that wants the object — so a result is
+  bit-identical (see
   :func:`~repro.analysis.serialization.canonical_result_bytes`) whether
   it was computed serially, in a worker process, replayed from the
   memory tier, or read back from disk.
@@ -36,7 +38,7 @@ import hashlib
 import json
 import os
 import zlib
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.baselines.sequential import SequentialResult, simulate_sequential
 from repro.core.engine import Simulation
@@ -54,6 +56,23 @@ ProgressCallback = Callable[[str, str], None]
 #: computation this call led, a concurrent caller's in-flight
 #: computation, or an uncacheable traced run.
 PROGRESS_SOURCES = ("memory", "disk", "computed", "inflight", "live")
+
+
+class Resolved(NamedTuple):
+    """One cell of a tier walk (:meth:`SweepRunner.resolve_raw`)."""
+
+    #: The tier that answered: a :data:`PROGRESS_SOURCES` entry.
+    source: str
+    #: The payload bytes, as stored in every tier.
+    raw: bytes
+    #: For a disk hit, the result its bytes decoded into when they were
+    #: checked; ``None`` for every other source.
+    result: SimulationResult | SequentialResult | None = None
+
+
+#: Per-cell callback of the tier walk: ``on_cell(key, resolved)``, called
+#: from the walking thread the moment each cell resolves.
+CellCallback = Callable[[str, Resolved], None]
 
 
 def execute_job(job: SimJob) -> SimulationResult | SequentialResult:
@@ -132,13 +151,25 @@ def result_from_payload(
 
     if payload.get("kind") == "sequential":
         return sequential_result_from_dict(payload)
-    metrics = payload.pop("metrics", None)
+    # result_from_dict ignores the "metrics" key, so the caller's dict is
+    # read, never changed.
+    metrics = payload.get("metrics")
     result = result_from_dict(payload)
     if metrics is not None:
         from repro.obs.metrics import MetricsSnapshot
 
         result.metrics = MetricsSnapshot.from_dict(metrics)
     return result
+
+
+def decode_payload(raw: bytes) -> SimulationResult | SequentialResult:
+    """Decode stored payload bytes into the result they serialize.
+
+    Raises on bytes that do not decode into a result — truncated, empty,
+    not JSON, a missing field — which is what makes a cached entry a
+    miss (:meth:`~repro.runner.cache.ShardedResultCache.load_checked`).
+    """
+    return result_from_payload(json.loads(raw))
 
 
 def _encode_payload(payload: dict[str, Any]) -> bytes:
@@ -246,54 +277,92 @@ class SweepRunner:
     ) -> list[SimulationResult | SequentialResult]:
         """Execute a batch of jobs, returning results in input order.
 
-        Duplicate jobs (same cache key) are computed once — including
-        across *concurrent* ``run_many`` calls on this runner, which
-        join in-flight computations (:class:`~repro.runner.singleflight.\
-SingleFlight`) instead of repeating them. Lookup order per distinct job:
-        memory tier, then the shared (disk) tier — promoting hits into
-        the memory tier — then live computation. Misses run in a chunked
-        process pool when the batch is larger than one chunk and
-        ``jobs > 1``, else serially in this process. Every freshly
-        computed result is stored back through both tiers as soon as it
-        lands (not after the whole batch), so concurrent readers and
-        progress streams see cells the moment they finish.
+        Duplicate jobs (same cache key) are resolved once, through
+        :meth:`resolve_raw` — including across *concurrent* callers,
+        which join in-flight computations instead of repeating them —
+        and each distinct cell's payload bytes are decoded exactly once,
+        as the cell resolves (a disk hit reuses the decode that checked
+        it; a computed cell decodes while the rest of the batch is still
+        computing). Traced jobs run live in this process and bypass
+        every tier.
 
         ``progress``, when given, is called once per *distinct* job as
         ``progress(key, source)`` with ``source`` one of
-        :data:`PROGRESS_SOURCES` — the hook the service layer rides to
-        stream per-cell completion.
+        :data:`PROGRESS_SOURCES`.
         """
-        by_key: dict[str, SimulationResult | SequentialResult] = {}
         keys = [job.cache_key() for job in jobs]
-        pending: list[tuple[str, SimJob]] = []
-        owned: dict[str, Any] = {}
-        waiting: dict[str, Any] = {}
-        seen: set[str] = set()
-
-        def _notify(key: str, source: str) -> None:
-            if progress is not None:
-                progress(key, source)
-
+        by_key: dict[str, SimulationResult | SequentialResult] = {}
+        cells: dict[str, SimJob] = {}
         for key, job in zip(keys, jobs):
-            if key in seen:
-                continue
-            seen.add(key)
             if job.traced:
                 # A trace recorder lives only in this process: traced jobs
                 # run live and bypass every cache tier in both directions.
-                by_key[key] = execute_job(job)
-                _notify(key, "live")
-                continue
-            raw = self.memory_cache.load(key)
-            if raw is not None:
-                by_key[key] = result_from_payload(json.loads(raw))
-                _notify(key, "memory")
-                continue
-            payload = self.cache.load(key) if self.cache is not None else None
-            if payload is not None:
-                self.memory_cache.store(key, _encode_payload(payload))
-                by_key[key] = result_from_payload(payload)
-                _notify(key, "disk")
+                if key not in by_key:
+                    by_key[key] = execute_job(job)
+                    if progress is not None:
+                        progress(key, "live")
+            else:
+                cells.setdefault(key, job)
+
+        def _decode(key: str, hit: Resolved) -> None:
+            by_key[key] = (hit.result if hit.result is not None
+                           else decode_payload(hit.raw))
+            if progress is not None:
+                progress(key, hit.source)
+
+        self.resolve_raw(cells, _decode)
+        return [by_key[key] for key in keys]
+
+    def lookup(self, key: str) -> Resolved | None:
+        """Memory tier, then the checked shared tier; never computes.
+
+        A disk hit is decoded once to check it — an entry that does not
+        decode is a miss, never promoted — and its bytes are promoted
+        into the memory tier exactly as read.
+        """
+        raw = self.memory_cache.load(key)
+        if raw is not None:
+            return Resolved("memory", raw)
+        if self.cache is None:
+            return None
+        hit = self.cache.load_checked(key, decode_payload)
+        if hit is None:
+            return None
+        raw, result = hit
+        self.memory_cache.store(key, raw)
+        return Resolved("disk", raw, result)
+
+    def resolve_raw(
+        self, cells: dict[str, SimJob],
+        on_cell: CellCallback | None = None,
+    ) -> dict[str, Resolved]:
+        """The tier walk: payload bytes for each ``key -> job`` cell.
+
+        Per cell, in order: :meth:`lookup` (memory tier, then the checked
+        shared tier), then the :class:`~repro.runner.singleflight.\
+SingleFlight` registry — a key another caller is computing is joined,
+        not recomputed — and only then the dispatcher. Every freshly
+        computed payload is stored through both tiers the moment it
+        lands, so concurrent readers see cells as they finish, and
+        ``on_cell(key, resolved)`` is called once per cell as it
+        resolves. Nothing is decoded here beyond the disk-hit check:
+        callers that only move bytes (the service) never build a result.
+        Cells must be cacheable (not ``traced``).
+        """
+        resolved: dict[str, Resolved] = {}
+        pending: list[tuple[str, SimJob]] = []
+        owned: dict[str, Any] = {}
+        waiting: dict[str, Any] = {}
+
+        def _done(key: str, hit: Resolved) -> None:
+            resolved[key] = hit
+            if on_cell is not None:
+                on_cell(key, hit)
+
+        for key, job in cells.items():
+            hit = self.lookup(key)
+            if hit is not None:
+                _done(key, hit)
                 continue
             flight, leader = self.flights.claim(key)
             if leader:
@@ -304,7 +373,7 @@ SingleFlight`) instead of repeating them. Lookup order per distinct job:
 
         if pending:
             def _landed(key: str, raw: bytes) -> None:
-                """One computed payload: store, publish, decode, notify.
+                """One computed payload: store, publish, report.
 
                 A shared-tier store that fails (full disk, read-only
                 mount) leaves the result computed but not cached: it is
@@ -316,9 +385,8 @@ SingleFlight`) instead of repeating them. Lookup order per distinct job:
                         self.cache.store_raw(key, raw)
                     except OSError:
                         self.cache.stats.store_errors += 1
-                by_key[key] = result_from_payload(json.loads(raw))
                 self.flights.resolve(key, owned[key], raw)
-                _notify(key, "computed")
+                _done(key, Resolved("computed", raw))
 
             try:
                 self._compute(pending, _landed)
@@ -332,11 +400,9 @@ SingleFlight`) instead of repeating them. Lookup order per distinct job:
                     )
 
         for key, flight in waiting.items():
-            raw = self.flights.wait(flight, self.inflight_timeout)
-            by_key[key] = result_from_payload(json.loads(raw))
-            _notify(key, "inflight")
-
-        return [by_key[key] for key in keys]
+            _done(key, Resolved(
+                "inflight", self.flights.wait(flight, self.inflight_timeout)))
+        return resolved
 
     # ------------------------------------------------------------------
     def _compute(

@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 from repro.runner.cache import MemoryResultCache, ResultCache
 from repro.runner.jobs import SimJob
-from repro.runner.runner import SweepRunner, result_from_payload
+from repro.runner.runner import Resolved, SweepRunner
 
 #: Default bound (seconds) a request waits on a computation another
 #: request leads before failing with a timeout instead of hanging.
@@ -157,20 +157,16 @@ class SimulationService:
     def lookup_raw(self, key: str) -> tuple[str, bytes] | None:
         """Tiered read-only lookup: ``(source, payload bytes)`` or miss.
 
-        Memory tier first (sub-millisecond: one dict probe, no decode);
-        a disk hit is promoted into the memory tier, exactly as the
-        runner promotes. Never computes.
+        The runner's own :meth:`~repro.runner.runner.SweepRunner.lookup`:
+        memory tier first (sub-millisecond: one dict probe, no decode),
+        then the shared tier, whose hit is checked by decoding it once —
+        an entry that does not decode is a miss — and promoted into the
+        memory tier as read. Never computes.
         """
-        raw = self.runner.memory_cache.load(key)
-        if raw is not None:
-            return "memory", raw
-        cache = self.runner.cache
-        if cache is not None:
-            raw = cache.load_raw(key)
-            if raw is not None:
-                self.runner.memory_cache.store(key, raw)
-                return "disk", raw
-        return None
+        hit = self.runner.lookup(key)
+        if hit is None:
+            return None
+        return hit.source, hit.raw
 
     def digest_for(self, key: str, raw: bytes) -> str:
         """The (memoized) canonical digest of ``key``'s payload.
@@ -215,20 +211,19 @@ class SimulationService:
         """``POST /v1/jobs``: resolve one job, computing on a miss.
 
         Returns the envelope bytes. Cache hits never leave the event
-        loop; misses run ``run_many([job])`` in the thread pool, where
-        the runner's single-flight collapses concurrent identical
-        requests into one computation.
+        loop; misses run the runner's tier walk
+        (:meth:`~repro.runner.runner.SweepRunner.resolve_raw`) in the
+        thread pool, where single-flight collapses concurrent identical
+        requests into one computation. Only bytes move: no result
+        object is built.
         """
         self.counters["jobs.submitted"] += 1
         key = job.cache_key()
         hit = self.lookup_raw(key)
         if hit is None:
-            await self.loop.run_in_executor(
-                self._executor, self.runner.run_many, [job])
-            hit = self.lookup_raw(key)
-            if hit is None:  # pragma: no cover - runner always stores
-                raise RuntimeError(f"computed job {key} left no cache entry")
-            hit = ("computed", hit[1])
+            resolved = await self.loop.run_in_executor(
+                self._executor, self.runner.resolve_raw, {key: job})
+            hit = ("computed", resolved[key].raw)
         source, raw = hit
         return self.envelope_bytes(key, source, raw,
                                    description=job.describe())
@@ -236,38 +231,35 @@ class SimulationService:
     async def submit_sweep(self, jobs: Sequence[SimJob]) -> SweepState:
         """``POST /v1/sweeps``: launch a grid and return its state.
 
-        The sweep runs in the thread pool; per-cell completion events are
-        marshalled onto the event loop and appended to the sweep's
-        history, waking every streaming subscriber.
+        The sweep runs the runner's tier walk in the thread pool — bytes
+        only, so a warm sweep builds no result object; per-cell
+        completion events are marshalled onto the event loop and
+        appended to the sweep's history, waking every streaming
+        subscriber.
         """
         self.counters["sweeps.submitted"] += 1
         self._sweep_seq += 1
         sweep_id = f"s{self._sweep_seq:06d}"
-        distinct: list[str] = []
-        seen: set[str] = set()
-        descriptions = []
+        cells: dict[str, SimJob] = {}
         for job in jobs:
-            key = job.cache_key()
-            if key not in seen:
-                seen.add(key)
-                distinct.append(key)
-                descriptions.append(job.describe())
-        state = SweepState(sweep_id=sweep_id, keys=distinct,
-                           descriptions=descriptions, total=len(distinct))
+            cells.setdefault(job.cache_key(), job)
+        state = SweepState(sweep_id=sweep_id, keys=list(cells),
+                           descriptions=[job.describe()
+                                         for job in cells.values()],
+                           total=len(cells))
         self._sweeps[sweep_id] = state
         loop = self.loop
 
-        def _progress(key: str, source: str) -> None:
+        def _progress(key: str, hit: Resolved) -> None:
             # Called from the compute thread: hop onto the loop.
             loop.call_soon_threadsafe(self._publish_result, state, key,
-                                      source)
+                                      hit.source)
 
         async def _drive() -> None:
             try:
                 await loop.run_in_executor(
                     self._executor,
-                    lambda: self.runner.run_many(list(jobs),
-                                                 progress=_progress))
+                    lambda: self.runner.resolve_raw(cells, _progress))
             except Exception as exc:  # noqa: BLE001 - reported to clients
                 await self._finish(state, "failed", error=str(exc))
             else:

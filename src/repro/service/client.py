@@ -199,4 +199,4 @@ class ServiceClient:
                     f"result digest {actual} does not match the "
                     f"envelope's {expected}: corrupted transfer or "
                     f"mismatched engine versions")
-        return result_from_payload(dict(payload))
+        return result_from_payload(payload)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import json
+
 import pytest
 
 from repro.core.config import (
@@ -11,6 +14,7 @@ from repro.core.config import (
     NUMA_16,
     scaled_machine,
 )
+from repro.runner.cache import DirectoryBackend
 from repro.tls.task import OP_COMPUTE, OP_READ, OP_WRITE, TaskSpec
 from repro.workloads.base import Workload
 
@@ -52,6 +56,29 @@ def write(word: int) -> tuple[int, int]:
 
 def make_workload(name: str, *tasks: TaskSpec) -> Workload:
     return Workload(name=name, tasks=tuple(tasks))
+
+
+#: The bad entries a shared cache tier can hold: cut short, empty, and
+#: valid JSON that no longer decodes into a result.
+CORRUPTIONS = ("truncated", "empty", "missing-field")
+
+
+def corrupt(raw: bytes, kind: str) -> bytes:
+    """A stored simulation payload spoiled the way ``kind`` names."""
+    if kind == "truncated":
+        return raw[:len(raw) // 2]
+    if kind == "empty":
+        return b""
+    payload = json.loads(raw)
+    del payload["total_cycles"]
+    return json.dumps(payload).encode()
+
+
+class FullDiskBackend(DirectoryBackend):
+    """A directory tier on a full disk: every ``put`` fails."""
+
+    def put(self, key, raw):
+        raise OSError(errno.ENOSPC, "No space left on device")
 
 
 @pytest.fixture

@@ -54,8 +54,15 @@ from repro.dist.protocol import (
     unpack_jobs,
     unpack_results,
 )
-from repro.runner import ResultCache, SimJob, SweepRunner, WorkloadSpec
+from repro.runner import (
+    ResultCache,
+    ShardedResultCache,
+    SimJob,
+    SweepRunner,
+    WorkloadSpec,
+)
 from repro.runner.runner import canonical_payload_digest
+from tests.conftest import CORRUPTIONS, FullDiskBackend, corrupt
 
 SCALE = 0.05
 
@@ -367,6 +374,48 @@ def test_worker_short_circuits_warm_keys(fleet, tmp_path):
     agent.request_drain()
     thread.join(timeout=10)
     assert agent.cache_hits == warm_count
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_undecodable_shared_entry_is_recomputed_by_the_fleet(fleet, tmp_path,
+                                                            kind):
+    from repro.runner.runner import decode_payload
+
+    job = _grid(machines=(NUMA_16,), n_schemes=1, seed=21)[0]
+    cache = ResultCache(tmp_path)
+    SweepRunner(jobs=1, cache=cache).run(job)
+    path = cache.path_for(job.cache_key())
+    bad = corrupt(path.read_bytes(), kind)
+    path.write_bytes(bad)
+    agent, thread = _start_agent(fleet, cache=ResultCache(tmp_path))
+    _wait_workers(fleet, 1)
+    runner = SweepRunner(cache=ResultCache(tmp_path), dispatcher=fleet)
+    result = runner.run(job)
+    assert canonical_result_bytes(result) == _serial_bytes([job])[0]
+    stored = path.read_bytes()
+    assert stored != bad
+    assert canonical_result_bytes(decode_payload(stored)) \
+        == canonical_result_bytes(result)
+    assert runner.memory_cache.load(job.cache_key()) != bad
+    agent.request_drain()
+    thread.join(timeout=10)
+    # The worker saw the same bad entry, treated it as a miss, computed.
+    assert agent.summary()["cache_hits"] == 0
+    assert agent.cache.stats.misses == 1
+
+
+def test_full_disk_on_a_worker_is_computed_not_cached(fleet, tmp_path):
+    jobs = _grid(machines=(NUMA_16,), n_schemes=2, seed=22)
+    cache = ShardedResultCache(FullDiskBackend(tmp_path))
+    agent, thread = _start_agent(fleet, cache=cache)
+    _wait_workers(fleet, 1)
+    results = SweepRunner(cache=None, dispatcher=fleet).run_many(jobs)
+    assert [canonical_result_bytes(r) for r in results] == _serial_bytes(jobs)
+    agent.request_drain()
+    thread.join(timeout=10)
+    summary = agent.summary()
+    assert (summary["jobs"], summary["store_errors"]) == (2, 2)
+    assert len(cache) == 0
 
 
 def test_a_lost_worker_does_not_stall_later_batches():

@@ -11,8 +11,9 @@ Contracts under test (see ``repro.runner.cache``):
 * a result is bit-identical no matter which tier replays it.
 """
 
-import errno
 import json
+
+import pytest
 
 from repro.core.config import NUMA_16
 from repro.core.taxonomy import MULTI_T_MV_LAZY
@@ -29,6 +30,7 @@ from repro.runner import (
     WorkloadSpec,
     shard_of,
 )
+from tests.conftest import CORRUPTIONS, FullDiskBackend, corrupt
 
 SCALE = 0.1
 
@@ -227,6 +229,64 @@ def test_result_is_bit_identical_through_every_tier(tmp_path):
     assert canonical_result_bytes(foreign) == expected
 
 
+def test_disk_hit_is_promoted_as_the_bytes_read(tmp_path, monkeypatch):
+    import repro.runner.runner as runner_mod
+
+    jobs = [_job(), _job(seed=1)]
+    reference = [canonical_result_bytes(r) for r in
+                 SweepRunner(jobs=1, cache=ResultCache(tmp_path)).run_many(jobs)]
+
+    def no_reencode(payload):
+        raise AssertionError("a disk hit was re-encoded")
+
+    loads = []
+    real_loads = json.loads
+
+    def counting_loads(raw, *args, **kwargs):
+        loads.append(raw)
+        return real_loads(raw, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "_encode_payload", no_reencode)
+    monkeypatch.setattr(json, "loads", counting_loads)
+    runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path))
+    results = runner.run_many(jobs)
+    assert runner.cache.stats.hits == len(jobs)
+    assert len(loads) == len(jobs)  # one parse per disk hit
+    assert [canonical_result_bytes(r) for r in results] == reference
+    for job in jobs:
+        key = job.cache_key()
+        assert (runner.memory_cache.load(key)
+                == ResultCache(tmp_path).path_for(key).read_bytes())
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_undecodable_entry_is_a_counted_miss_recomputed_and_overwritten(
+        tmp_path, kind):
+    from repro.runner.runner import decode_payload
+
+    job = _job()
+    key = job.cache_key()
+    reference = canonical_result_bytes(
+        SweepRunner(jobs=1, cache=ResultCache(tmp_path)).run(job))
+    path = ResultCache(tmp_path).path_for(key)
+    bad = corrupt(path.read_bytes(), kind)
+    path.write_bytes(bad)
+
+    memory = MemoryResultCache()
+    runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path),
+                         memory_cache=memory)
+    assert runner.lookup(key) is None
+    assert key not in memory  # never promoted
+    result = runner.run(job)
+    assert canonical_result_bytes(result) == reference
+    stats = runner.cache.stats
+    assert (stats.hits, stats.misses, stats.stores) == (0, 2, 1)
+    stored = path.read_bytes()
+    assert stored != bad
+    assert canonical_result_bytes(decode_payload(stored)) == reference
+    assert memory.load(key) == stored
+
+
 def test_raw_and_decoded_paths_see_the_same_payload(tmp_path):
     cache = ResultCache(tmp_path)
     key = "ee" + "0" * 62
@@ -239,13 +299,6 @@ def test_raw_and_decoded_paths_see_the_same_payload(tmp_path):
 # ----------------------------------------------------------------------
 # A failing shared tier
 # ----------------------------------------------------------------------
-class FullDiskBackend(DirectoryBackend):
-    """A directory tier on a full disk: every ``put`` fails."""
-
-    def put(self, key, raw):
-        raise OSError(errno.ENOSPC, "No space left on device")
-
-
 def test_full_disk_degrades_to_computed_not_cached(tmp_path):
     jobs = [_job(), _job(seed=1)]
     reference = [canonical_result_bytes(r)

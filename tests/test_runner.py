@@ -316,8 +316,8 @@ def test_memory_disk_and_live_tiers_are_bit_identical(tmp_path):
 
 
 def test_memory_tier_hit_returns_independent_results():
-    # The tier stores serialized bytes, so two replays of the same cell
-    # must not share mutable state (metrics deserialization pops keys).
+    # The tier stores serialized bytes and every call decodes its own
+    # copy, so two replays of the same cell never share mutable state.
     runner = SweepRunner(jobs=1, cache=None)
     job = _job()
     first = runner.run(job)
@@ -494,3 +494,102 @@ def test_stale_trace_reference_is_refused(tmp_path):
     _DECODED.clear()  # force re-read: the memo would otherwise serve it
     with pytest.raises(TraceFormatError, match="changed on disk"):
         job.resolve_workload()
+
+
+# ----------------------------------------------------------------------
+# The warm path: one key per job object, one job object per cell
+# ----------------------------------------------------------------------
+FIGURE_SCALE = 0.03
+FIGURES = ("run_figure9", "run_figure10", "run_figure11")
+
+
+def _figure_grid(scale=FIGURE_SCALE):
+    """The 113 distinct cells of Figures 9-11, built from scratch."""
+    from repro.core.taxonomy import AMM_SCHEMES, MULTI_T_MV_FMM_SW
+    from repro.workloads.apps import APPLICATION_ORDER
+
+    def cells(machine, schemes, apps=APPLICATION_ORDER):
+        return [SimJob(machine=machine, scheme=scheme,
+                       workload=WorkloadSpec(app, scale=scale))
+                for app in apps for scheme in schemes]
+
+    return (cells(NUMA_16, (None,) + AMM_SCHEMES)
+            + cells(CMP_8, (None,) + AMM_SCHEMES)
+            + cells(NUMA_16, (MULTI_T_MV_FMM, MULTI_T_MV_FMM_SW))
+            + cells(NUMA_16_BIG_L2, (MULTI_T_MV_LAZY,), apps=("P3m",)))
+
+
+@pytest.fixture(scope="module")
+def warm_figure_runner():
+    """A runner whose memory tier holds every cell of Figures 9-11."""
+    from repro.analysis import experiments
+
+    runner = SweepRunner(jobs=1, cache=None)
+    ctx = experiments.ExperimentContext(scale=FIGURE_SCALE, runner=runner)
+    for figure in FIGURES:
+        getattr(experiments, figure)(ctx)
+    return runner
+
+
+def test_memoized_key_is_the_fresh_derivation_and_stays_out_of_pickles():
+    import hashlib
+    import pickle
+
+    jobs = _figure_grid()
+    keys = set()
+    for job in jobs:
+        unkeyed = pickle.dumps(job)
+        key = job.cache_key()
+        assert job.cache_key() is key  # memoized on the instance
+        fresh = hashlib.sha256(json.dumps(job.identity(), sort_keys=True)
+                               .encode()).hexdigest()
+        assert key == fresh
+        assert pickle.dumps(job) == unkeyed
+        assert pickle.loads(unkeyed).cache_key() == key
+        keys.add(key)
+    assert len(keys) == len(jobs) == 113
+
+
+def test_warm_figures_derive_each_cell_key_once(warm_figure_runner,
+                                                monkeypatch):
+    from repro.analysis import experiments
+
+    runner = warm_figure_runner
+    assert len(runner.memory_cache) == 113
+    calls = Counter()
+    real_identity = SimJob.identity
+
+    def counting_identity(job):
+        calls[job.describe()] += 1
+        return real_identity(job)
+
+    monkeypatch.setattr(SimJob, "identity", counting_identity)
+    misses = runner.memory_cache.stats.misses
+    ctx = experiments.ExperimentContext(scale=FIGURE_SCALE, runner=runner)
+    for figure in FIGURES:
+        getattr(experiments, figure)(ctx)
+    assert runner.memory_cache.stats.misses == misses  # all warm
+    assert sum(calls.values()) <= 113
+    # One job per machine *object*: NUMA_16 and NUMA_16_BIG_L2 share a
+    # display name but are two cells (and two keys).
+    assert NUMA_16.name == NUMA_16_BIG_L2.name
+    assert (ctx._job(NUMA_16, MULTI_T_MV_LAZY, "P3m")
+            is not ctx._job(NUMA_16_BIG_L2, MULTI_T_MV_LAZY, "P3m"))
+    assert ctx._job(NUMA_16, None, "P3m") is ctx._job(NUMA_16, None, "P3m")
+
+
+def test_result_from_payload_leaves_its_argument_unchanged():
+    import copy
+
+    from repro.runner import payload_from_result, result_from_payload
+
+    job = SimJob(machine=NUMA_16, scheme=MULTI_T_MV_LAZY,
+                 workload=WorkloadSpec("Euler", scale=FIGURE_SCALE),
+                 collect_metrics=True)
+    payload = payload_from_result(execute_job(job))
+    assert "metrics" in payload
+    before = copy.deepcopy(payload)
+    result = result_from_payload(payload)
+    assert payload == before
+    assert result.metrics is not None
+    assert result.metrics.to_dict() == payload["metrics"]

@@ -29,6 +29,7 @@ from repro.service import (
     job_from_request,
     jobs_from_sweep_request,
 )
+from tests.conftest import CORRUPTIONS, corrupt
 
 SCALE = 0.1
 APP = "Euler"
@@ -201,6 +202,88 @@ def test_concurrent_identical_sweeps_compute_each_cell_once(server, client):
     # Two identical 2-cell sweeps → exactly 2 stores: the second sweep
     # joined flights or replayed tiers, never recomputed.
     assert after - before == 2
+
+
+def test_warm_sweep_streams_without_decoding_a_result(monkeypatch):
+    import repro.runner.runner as runner_mod
+
+    service = SimulationService(use_disk=False, jobs=1)
+    thread = ServiceThread(service).start()
+    c = ServiceClient(thread.base_url)
+    try:
+        body = {"apps": [APP],
+                "schemes": ["MultiT&MV Lazy AMM", "SingleT Eager AMM"],
+                "seed": 11, "scale": 0.03}
+        cold = c.submit_sweep(body)
+        assert list(c.stream_events(cold["sweep_id"]))[-1]["status"] == "done"
+
+        decodes = []
+        real_decode = runner_mod.result_from_payload
+
+        def counting_decode(payload):
+            decodes.append(payload)
+            return real_decode(payload)
+
+        monkeypatch.setattr(runner_mod, "result_from_payload",
+                            counting_decode)
+        warm = c.submit_sweep(body)
+        events = list(c.stream_events(warm["sweep_id"]))
+        assert decodes == []
+        assert warm["keys"] == cold["keys"]
+        assert events == [
+            *({"event": "result", "key": key, "source": "memory",
+               "done": done, "total": 2}
+              for done, key in enumerate(warm["keys"], start=1)),
+            {"event": "end", "status": "done", "done": 2, "total": 2},
+        ]
+    finally:
+        c.close()
+        thread.stop()
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_undecodable_entry_is_404_then_recomputed(tmp_path, monkeypatch,
+                                                  kind):
+    from repro.runner import ResultCache
+    from repro.runner.runner import decode_payload
+
+    request = {"app": APP, "machine": "numa16",
+               "scheme": "MultiT&MV Lazy AMM", "scale": 0.03}
+    job = job_from_request(request)
+    key = job.cache_key()
+    SweepRunner(jobs=1, cache=ResultCache(tmp_path)).run(job)
+    path = ResultCache(tmp_path).path_for(key)
+    bad = corrupt(path.read_bytes(), kind)
+    path.write_bytes(bad)
+
+    service = SimulationService(cache_dir=str(tmp_path), jobs=1)
+    memory = service.runner.memory_cache
+    promoted = []
+    real_store = memory.store
+
+    def recording_store(store_key, raw):
+        promoted.append(raw)
+        real_store(store_key, raw)
+
+    monkeypatch.setattr(memory, "store", recording_store)
+    thread = ServiceThread(service).start()
+    c = ServiceClient(thread.base_url)
+    try:
+        error = _refused(c.get_job, key)
+        assert (error.status, error.code) == (404, "unknown_key")
+        first = c.submit_job(request)
+        second = c.submit_job(request)
+    finally:
+        c.close()
+        thread.stop()
+    assert (first["source"], second["source"]) == ("computed", "memory")
+    assert first["key"] == key
+    assert first["digest"] == second["digest"]
+    result = ServiceClient.result_from_envelope(first)
+    assert canonical_result_bytes(result) == canonical_result_bytes(
+        decode_payload(path.read_bytes()))
+    assert bad not in promoted
+    assert promoted == [path.read_bytes()]
 
 
 # ----------------------------------------------------------------------
