@@ -7,19 +7,31 @@ optional, as it can be megabytes for large runs).
 
 ``full=True`` serialization round-trips a :class:`SimulationResult`
 exactly (every field, including task timings and observed reads); it is
-what the on-disk result cache (:mod:`repro.runner.cache`) stores, and
+the body of every result-cache entry (:mod:`repro.runner.entry`), and
 :func:`canonical_result_bytes` derives the deterministic byte form used
 to assert that serial, process-pool, and cache-replayed runs agree
 bit for bit.
+
+The rebuilders take either a plain payload dict, which they decode
+eagerly, or a summary read from a cache entry
+(:class:`repro.runner.entry.SummaryPayload`): a dict without the heavy
+members (the memory image and observed reads) plus a ``load_heavy()``
+that parses them. The result then leaves those fields unparsed until
+first access (:func:`~repro.core.results.defer_fields`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable
 
 from repro.baselines.sequential import SequentialResult
-from repro.core.results import SimulationResult, TaskTiming, TrafficStats
+from repro.core.results import (
+    SimulationResult,
+    TaskTiming,
+    TrafficStats,
+    defer_fields,
+)
 from repro.core.taxonomy import scheme_from_name
 from repro.errors import WorkloadError
 from repro.processor.processor import CycleCategory
@@ -160,7 +172,7 @@ def result_from_dict(data: dict[str, Any]) -> SimulationResult:
             "result_from_dict needs a full serialization "
             "(result_to_dict(..., full=True))")
     categories = {c.value: c for c in CycleCategory}
-    return SimulationResult(
+    result = SimulationResult(
         scheme=scheme_from_name(data["scheme"]),
         machine_name=data["machine"],
         workload_name=data["workload"],
@@ -189,14 +201,6 @@ def result_from_dict(data: dict[str, Any]) -> SimulationResult:
         avg_written_footprint_bytes=float(
             data["avg_written_footprint_bytes"]),
         priv_footprint_fraction=float(data["priv_footprint_fraction"]),
-        memory_image={
-            int(word): producer
-            for word, producer in data["memory_image"].items()
-        },
-        observed_reads={
-            (int(task), int(word)): producer
-            for task, word, producer in data["observed_reads"]
-        },
         peak_overflow_lines=int(data["peak_overflow_lines"]),
         peak_undolog_entries=int(data["peak_undolog_entries"]),
         wasted_busy_cycles=float(data["wasted_busy_cycles"]),
@@ -207,6 +211,43 @@ def result_from_dict(data: dict[str, Any]) -> SimulationResult:
         events_processed=int(data["events_processed"]),
         wall_clock_seconds=float(data["wall_clock_seconds"]),
     )
+    _attach_heavy(result, data, _simulation_heavy)
+    return result
+
+
+def _simulation_heavy(data: dict[str, Any]) -> dict[str, Any]:
+    """The deferrable fields of a :class:`SimulationResult`."""
+    return {
+        "memory_image": {
+            int(word): producer
+            for word, producer in data["memory_image"].items()
+        },
+        "observed_reads": {
+            (int(task), int(word)): producer
+            for task, word, producer in data["observed_reads"]
+        },
+    }
+
+
+def _sequential_heavy(data: dict[str, Any]) -> dict[str, Any]:
+    """The deferrable field of a :class:`SequentialResult`."""
+    return {"memory_image": {
+        int(word): producer
+        for word, producer in data["memory_image"].items()
+    }}
+
+
+def _attach_heavy(
+    result: SimulationResult | SequentialResult, data: dict[str, Any],
+    build: Callable[[dict[str, Any]], dict[str, Any]],
+) -> None:
+    """Give ``result`` its heavy fields: now from a plain payload, or on
+    first access from a cache-entry summary's ``load_heavy()``."""
+    load_heavy = getattr(data, "load_heavy", None)
+    if load_heavy is None:
+        result.__dict__.update(build(data))
+    else:
+        defer_fields(result, lambda: build(load_heavy()))
 
 
 def canonical_result_bytes(result: SimulationResult) -> bytes:
@@ -248,17 +289,16 @@ def sequential_result_from_dict(data: dict[str, Any]) -> SequentialResult:
         raise WorkloadError(
             f"unsupported sequential-result payload "
             f"(format {data.get('format')!r}, kind {data.get('kind')!r})")
-    return SequentialResult(
+    result = SequentialResult(
         workload_name=data["workload"],
         machine_name=data["machine"],
         total_cycles=float(data["total_cycles"]),
         busy_cycles=float(data["busy_cycles"]),
         memory_cycles=float(data["memory_cycles"]),
-        memory_image={
-            int(word): producer
-            for word, producer in data["memory_image"].items()
-        },
+        memory_image={},
     )
+    _attach_heavy(result, data, _sequential_heavy)
+    return result
 
 
 def result_summary_from_dict(data: dict[str, Any]) -> dict[str, Any]:

@@ -12,15 +12,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import MachineConfig
+from repro.core.results import deferrable
 from repro.memsys.address import line_of
 from repro.memsys.cache import ARCH_TASK_ID, CacheLine, VersionCache
 from repro.tls.task import OP_COMPUTE, OP_READ, OP_WRITE
 from repro.workloads.base import Workload
 
 
+@deferrable("memory_image")
 @dataclass(frozen=True)
 class SequentialResult:
-    """Outcome of the sequential baseline run."""
+    """Outcome of the sequential baseline run.
+
+    ``memory_image`` (read only by correctness checks) can be left
+    unparsed by a cache read and parsed on first access
+    (:func:`~repro.core.results.defer_fields`).
+    """
 
     workload_name: str
     machine_name: str

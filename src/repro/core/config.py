@@ -18,7 +18,8 @@ the simplified timing model (see DESIGN.md Section 6).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
+from typing import Any
 
 from repro.errors import ConfigurationError
 
@@ -231,6 +232,40 @@ class MachineConfig:
     def with_costs(self, costs: CostModel) -> "MachineConfig":
         """A copy of this machine with different cost knobs."""
         return replace(self, costs=costs)
+
+    def identity(self) -> dict[str, Any]:
+        """``dataclasses.asdict(self)``: the machine's part of a job's
+        cache identity.
+
+        Derived once and memoized on the frozen instance (the fields
+        never change after construction); every call returns a fresh
+        copy, so no caller can change the memo.
+        """
+        memo = self.__dict__.get(_IDENTITY_MEMO)
+        if memo is None:
+            memo = asdict(self)
+            object.__setattr__(self, _IDENTITY_MEMO, memo)
+        return _copy_tree(memo)
+
+    def __getstate__(self) -> dict[str, Any]:
+        # The identity memo stays out of the pickle: a machine pickles
+        # the same whether or not a key was derived from it.
+        state = self.__dict__.copy()
+        state.pop(_IDENTITY_MEMO, None)
+        return state
+
+
+#: Attribute :meth:`MachineConfig.identity` memoizes under.
+_IDENTITY_MEMO = "_identity"
+
+
+def _copy_tree(value: Any) -> Any:
+    """A copy of a tree of dicts and lists (leaves are shared scalars)."""
+    if isinstance(value, dict):
+        return {key: _copy_tree(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy_tree(item) for item in value]
+    return value
 
 
 def _numa_hop_latencies() -> tuple[dict[int, int], dict[int, int]]:

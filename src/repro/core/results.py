@@ -9,10 +9,88 @@ the final memory image for correctness checking.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from repro.core.taxonomy import Scheme
 from repro.processor.processor import CycleCategory
+
+#: Instance attribute holding a result's not-yet-parsed heavy fields.
+_PENDING = "_pending"
+
+
+class _Pending:
+    """The heavy fields of one result, held unparsed until first read."""
+
+    __slots__ = ("load", "lock")
+
+    def __init__(self, load: Callable[[], dict[str, Any]]) -> None:
+        self.load = load
+        self.lock = threading.Lock()
+
+
+class _DeferredField:
+    """Class-level stand-in for a dataclass field parsed on first access.
+
+    A non-data descriptor: it is consulted only while the field is absent
+    from the instance ``__dict__``. The first read, under the pending
+    holder's lock, parses every deferred field at once and stores them
+    in ``__dict__``, where every later read finds them directly. A field
+    assigned before that read keeps its assigned value.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        state = obj.__dict__
+        pending = state.get(_PENDING)
+        if pending is not None:
+            with pending.lock:
+                if self.name not in state:
+                    for name, value in pending.load().items():
+                        state.setdefault(name, value)
+                state.pop(_PENDING, None)
+        try:
+            return state[self.name]
+        except KeyError:
+            raise AttributeError(self.name) from None
+
+
+def _materialized_state(self: Any) -> dict[str, Any]:
+    """``__getstate__`` of a deferrable result: parse, then pickle as is."""
+    for name in type(self).DEFERRED_FIELDS:
+        getattr(self, name)
+    return self.__dict__
+
+
+def deferrable(*names: str) -> Callable[[type], type]:
+    """Class decorator (outside ``@dataclass``): let :func:`defer_fields`
+    leave the fields ``names`` unparsed until first read.
+
+    Comparison, :func:`dataclasses.replace`, ``repr`` and pickling all
+    read the fields through normal attribute access, so a deferred
+    result behaves exactly like an eagerly built one.
+    """
+    def wrap(cls: type) -> type:
+        for name in names:
+            setattr(cls, name, _DeferredField(name))
+        cls.DEFERRED_FIELDS = names
+        cls.__getstate__ = _materialized_state
+        return cls
+    return wrap
+
+
+def defer_fields(result: Any, load: Callable[[], dict[str, Any]]) -> None:
+    """Drop ``result``'s deferrable fields; ``load()`` supplies them on
+    first access (called at most once, even from racing threads)."""
+    state = result.__dict__
+    for name in type(result).DEFERRED_FIELDS:
+        state.pop(name, None)
+    state[_PENDING] = _Pending(load)
 
 
 @dataclass
@@ -59,9 +137,15 @@ class TaskTiming:
         return max(0.0, self.commit_end - self.commit_start)
 
 
+@deferrable("memory_image", "observed_reads")
 @dataclass
 class SimulationResult:
-    """Outcome of simulating one workload on one machine under one scheme."""
+    """Outcome of simulating one workload on one machine under one scheme.
+
+    ``memory_image`` and ``observed_reads`` — read only by correctness
+    checks, never by the figures — can be left unparsed by a cache read
+    and are then parsed on first access (:func:`defer_fields`).
+    """
 
     scheme: Scheme
     machine_name: str

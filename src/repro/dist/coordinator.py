@@ -19,13 +19,17 @@ point, not an afterthought:
   waiter, and late duplicate results are discarded — after the digest
   cross-check below.
 * **Silently-divergent fleets are refused.** Every result envelope
-  carries the canonical-result digest and the worker's fingerprint
-  (python version, platform, ``ENGINE_VERSION``). Registration already
-  refuses engine-version mismatches outright; beyond that, whenever two
-  workers ever compute the *same* key, their digests are cross-checked
-  — a mismatch poisons the coordinator, fails every active sweep with
-  :class:`FleetDivergenceError` naming both hosts, and refuses all
-  further work. A heterogeneous fleet must prove bit-identity to stay.
+  carries a self-verifying cache entry (:mod:`repro.runner.entry`) and
+  the canonical-result digest its header stores; workers carry their
+  fingerprint (python version, platform, ``ENGINE_VERSION``).
+  Registration already refuses engine-version mismatches outright. On
+  receipt, each entry must pass its hash check and carry the envelope's
+  digest; and whenever two workers ever compute the *same* key, their
+  digests are cross-checked. Either failure poisons the coordinator,
+  fails every active sweep with :class:`FleetDivergenceError` naming
+  the host(s), and refuses all further work — before the bad entry is
+  delivered or stored. A heterogeneous fleet must prove bit-identity to
+  stay.
 
 :class:`FleetDispatcher` is the runner-facing adapter: it implements
 the :class:`~repro.dist.dispatch.Dispatcher` protocol over a
@@ -56,6 +60,7 @@ from repro.dist.protocol import (
     write_frame,
 )
 from repro.errors import ReproError
+from repro.runner.entry import EntryError, check_entry, entry_digest
 
 #: Default seconds between required worker heartbeats (sent to workers
 #: in the ``registered`` frame).
@@ -82,7 +87,8 @@ class FleetError(ReproError):
 
 
 class FleetDivergenceError(FleetError):
-    """Two workers produced different bytes for the same job.
+    """A worker's result failed its receipt check, or two workers
+    produced different bytes for the same job.
 
     Raised to every active sweep and latched: a coordinator that has
     observed divergence refuses all further work, because any result
@@ -117,7 +123,8 @@ class FleetStats:
     #: Keys that joined an already in-flight computation instead of
     #: dispatching again (fleet-wide single-compute).
     keys_joined: int = 0
-    #: Digest cross-check failures (each one poisons the coordinator).
+    #: Receipt-check and digest cross-check failures (each one poisons
+    #: the coordinator).
     digest_mismatches: int = 0
 
     def to_dict(self) -> dict[str, int]:
@@ -194,9 +201,9 @@ class _ComputeCall:
             queue.Queue())
         self.failed = False
 
-    def offer(self, key: str, zraw: bytes) -> None:
-        """Deliver one key's compressed payload (loop thread)."""
-        self.queue.put(("result", key, zraw))
+    def offer(self, key: str, raw: bytes) -> None:
+        """Deliver one key's checked entry (loop thread)."""
+        self.queue.put(("result", key, raw))
 
     def fail(self, error: BaseException) -> None:
         """Deliver a terminal failure once (loop thread)."""
@@ -348,7 +355,8 @@ class FleetCoordinator:
     def execute(self, pending: Sequence[tuple[str, Any]],
                 deliver: Callable[[str, bytes], None]) -> None:
         """Compute every pending job on the fleet, delivering
-        ``(key, zlib-compressed payload bytes)`` pairs as they land.
+        ``(key, cache entry)`` pairs as they land, each one checked on
+        receipt.
 
         Blocks until all keys are delivered; raises :class:`FleetError`
         on exhausted retries / timeout and
@@ -463,7 +471,29 @@ class FleetCoordinator:
 
     def _record_result(self, worker: _Worker, key: str, digest: str,
                        source: str, zraw: bytes) -> None:
-        """Cross-check and deliver one result envelope."""
+        """Check, cross-check and deliver one result envelope.
+
+        The entry must pass its hash check and its header must carry the
+        envelope's digest, or the fleet is poisoned before anything is
+        delivered. A poisoned fleet accepts nothing more, so its latched
+        reason stays the first failure.
+        """
+        if self._poisoned is not None:
+            return
+        try:
+            raw = zlib.decompress(zraw)
+            check_entry(raw)
+            intact = entry_digest(raw) == digest
+        except (zlib.error, EntryError):
+            intact = False
+        if not intact:
+            self.stats.digest_mismatches += 1
+            self._poison(
+                f"receipt check failed on key {key[:16]}…: worker "
+                f"{worker.name} sent digest {digest[:12]}… with an entry "
+                f"that fails its hash check or carries another digest — "
+                f"refusing results from this fleet")
+            return
         prior = self._digests.get(key)
         if prior is not None and prior[0] != digest:
             self.stats.digest_mismatches += 1
@@ -488,7 +518,7 @@ class FleetCoordinator:
             return
         self.stats.results_received += 1
         for call in waiters:
-            call.offer(key, zraw)
+            call.offer(key, raw)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -753,8 +783,9 @@ class FleetDispatcher:
     optionally, a set of locally spawned worker subprocesses — the
     one-command path ``repro-tls sweep --dispatch fleet --workers N``
     and the bench harness use. ``compute`` blocks until the fleet has
-    delivered every payload, decompressing each worker envelope into
-    the canonical payload bytes the runner's cache tiers store.
+    delivered every entry, each checked on receipt (its hash, and the
+    envelope's digest against its header's) before the runner's cache
+    tiers store it.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
@@ -842,9 +873,7 @@ class FleetDispatcher:
         needed = 1 if self._quorum_met else self.min_workers
         self.coordinator.wait_for_workers(needed, self.start_timeout)
         self._quorum_met = True
-        self.coordinator.execute(
-            pending,
-            lambda key, zraw: on_result(key, zlib.decompress(zraw)))
+        self.coordinator.execute(pending, on_result)
 
     def stats_dict(self) -> dict[str, Any]:
         """Counters + gauges (surfaced in ``/v1/cache/stats``)."""

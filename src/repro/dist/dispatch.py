@@ -15,11 +15,12 @@ dispatcher decides *where* the compute happens:
   (:mod:`repro.dist.protocol`).
 
 The contract is deliberately the same one the runner's ``_compute``
-always had: ``compute(pending, on_result)`` delivers ``(key, payload
-bytes)`` pairs as they land, at most once per key, and the payload bytes
-are the canonical JSON serialization — so any dispatcher is
-bit-identical with any other by construction, and the runner's cache
-stores and progress streams work unchanged.
+always had: ``compute(pending, on_result)`` delivers ``(key, entry)``
+pairs as they land, at most once per key, and each entry is the
+result's self-verifying cache entry (:mod:`repro.runner.entry`), built
+by whoever computed it — so any dispatcher is bit-identical with any
+other by construction, and the runner's cache stores and progress
+streams work unchanged.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Any, Callable, Protocol, Sequence, runtime_checkable
 
 #: ``(key, job)`` pairs the runner asks a dispatcher to compute.
 PendingJobs = Sequence[tuple[str, Any]]
-#: Delivery callback: ``on_result(key, payload_bytes)``.
+#: Delivery callback: ``on_result(key, entry)``.
 ResultSink = Callable[[str, bytes], None]
 
 
@@ -40,15 +41,14 @@ class Dispatcher(Protocol):
     """Backend protocol for computing a batch of cache-miss jobs.
 
     Implementations must call ``on_result`` at most once per distinct
-    key, from the calling thread, with the *uncompressed* canonical
-    payload bytes — the same bytes
-    :func:`repro.runner.runner.payload_from_result` +
-    ``json.dumps`` produce in-process.
+    key, from the calling thread, with the *uncompressed* cache entry —
+    the same bytes :func:`repro.runner.entry.encode_entry` of
+    :func:`repro.runner.runner.payload_from_result` produces in-process.
     """
 
     def compute(self, pending: PendingJobs,
                 on_result: ResultSink) -> None:
-        """Execute every pending job, delivering payloads as they land."""
+        """Execute every pending job, delivering entries as they land."""
         ...
 
     def describe(self) -> str:
@@ -117,8 +117,8 @@ class LocalPoolDispatcher:
         by ``on_result`` itself propagates unchanged; it is never taken
         for a pool failure.
         """
+        from repro.runner.entry import encode_entry
         from repro.runner.runner import (
-            _encode_payload,
             _worker_chunk,
             execute_job,
             payload_from_result,
@@ -161,5 +161,5 @@ class LocalPoolDispatcher:
             if key in delivered:
                 continue
             _deliver(
-                key, _encode_payload(payload_from_result(execute_job(job)))
+                key, encode_entry(payload_from_result(execute_job(job)))
             )

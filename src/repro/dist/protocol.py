@@ -226,11 +226,11 @@ def pack_results(
     """Pack per-job result envelopes into (header entries, blob).
 
     ``results`` yields ``(key, digest, source, zraw)`` with ``zraw`` the
-    zlib-compressed canonical payload bytes. The header entry carries
-    the key, the :func:`~repro.runner.runner.canonical_payload_digest`
-    of the *decompressed* payload, where the bytes came from
-    (``computed`` or ``cache``), and the compressed length; the blob is
-    the concatenation, split back apart by those lengths.
+    zlib-compressed cache entry (:mod:`repro.runner.entry`). The header
+    entry carries the key, the canonical digest the entry's header
+    stores, where the bytes came from (``computed`` or ``cache``), and
+    the compressed length; the blob is the concatenation, split back
+    apart by those lengths.
     """
     entries: list[dict[str, Any]] = []
     blobs: list[bytes] = []

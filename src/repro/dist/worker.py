@@ -6,11 +6,13 @@ coordinator, registers with its :func:`~repro.dist.protocol.\
 worker_fingerprint` (refused outright on an engine-version mismatch),
 then loops: ``pull`` a chunk, execute each job through *exactly* the
 pipeline the in-process pool path uses (``execute_job`` →
-``payload_from_result`` → compact JSON bytes), and push one ``result``
-frame of per-job envelopes. Bit-identity across hosts is therefore by
-construction, and each envelope's canonical digest lets the coordinator
-prove it (:meth:`FleetCoordinator._record_result
-<repro.dist.coordinator.FleetCoordinator>` cross-check).
+``payload_from_result`` → :func:`~repro.runner.entry.encode_entry`),
+and push one ``result`` frame of per-job envelopes. Bit-identity across
+hosts is therefore by construction, and each envelope's canonical digest
+— the one its entry's header stores — lets the coordinator prove it
+(:meth:`FleetCoordinator._record_result
+<repro.dist.coordinator.FleetCoordinator>` receipt check and
+cross-check).
 
 Two behaviors make the fleet a cache *extension* rather than a cache
 bypass:
@@ -182,24 +184,25 @@ class WorkerAgent:
         """Run one chunk's jobs; returns result envelopes to pack.
 
         Every job resolves through the cache first (``source: "cache"``)
-        and stores its freshly computed payload back, so the fleet and
-        the local pool leave identical cache artifacts. The runner's
-        rules hold here too: an entry that does not decode is a miss,
+        and stores its freshly computed entry back, so the fleet and the
+        local pool leave identical cache artifacts. The runner's read
+        rule (:func:`~repro.runner.runner.read_entry`) holds here too:
+        an entry that fails its hash check or does not decode is a miss,
         computed and overwritten, and a store that fails (full disk) is
         "computed, not cached", counted in ``cache.stats.store_errors``.
+        Each envelope's digest is the one in its entry's header.
         """
+        from repro.runner.entry import encode_entry, entry_digest
         from repro.runner.runner import (
-            _encode_payload,
-            canonical_payload_digest,
-            decode_payload,
             execute_job,
             payload_from_result,
+            read_entry,
         )
 
         envelopes: list[tuple[str, str, str, bytes]] = []
         for job in jobs:
             key = job.cache_key()
-            hit = (self.cache.load_checked(key, decode_payload)
+            hit = (self.cache.load_checked(key, read_entry)
                    if self.cache is not None else None)
             if hit is not None:
                 source = "cache"
@@ -207,15 +210,14 @@ class WorkerAgent:
                 self.cache_hits += 1
             else:
                 source = "computed"
-                raw = _encode_payload(
-                    payload_from_result(execute_job(job)))
+                raw = encode_entry(payload_from_result(execute_job(job)))
                 if self.cache is not None:
                     try:
                         self.cache.store_raw(key, raw)
                     except OSError:
                         self.cache.stats.store_errors += 1
             digest = ("0" * 64 if self.forge_digest
-                      else canonical_payload_digest(raw))
+                      else entry_digest(raw))
             envelopes.append((key, digest, source, zlib.compress(raw, 1)))
             self.jobs_done += 1
         return envelopes

@@ -3,7 +3,8 @@
 Entries are keyed by the SHA-256 digest of the job's canonical identity
 (machine config + scheme + workload fingerprint + engine options +
 :data:`~repro.core.engine.ENGINE_VERSION`) and hold the *full* JSON
-serialization of the result, so a cache replay reconstructs the exact
+serialization of the result behind a self-verifying header
+(:mod:`repro.runner.entry`), so a cache replay reconstructs the exact
 :class:`~repro.core.results.SimulationResult` the original run produced.
 
 The stack is layered:
@@ -17,8 +18,8 @@ The stack is layered:
   store. The default :class:`DirectoryBackend` shards entries into
   2-hex-prefix subdirectories (256 shards) with atomic writes, so
   concurrent sweep workers, multiple service frontends, and unrelated
-  processes can all share one cache directory (local or NFS) safely; a
-  corrupt or truncated entry is treated as a miss and overwritten
+  processes can all share one cache directory (local or NFS) safely; an
+  entry that fails its check is treated as a miss and overwritten
   (:meth:`ShardedResultCache.load_checked`).
   Alternative backends (an object store, a remote cache daemon) only
   need the four :class:`CacheBackend` methods.
@@ -37,6 +38,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Iterable, Protocol, runtime_checkable
+
+from repro.runner.entry import check_entry, entry_body, is_entry
 
 #: Environment variable overriding the default cache location.
 CACHE_ENV_VAR = "REPRO_TLS_CACHE"
@@ -94,10 +97,10 @@ DEFAULT_MEMORY_ENTRIES = 256
 
 
 class MemoryResultCache:
-    """Bounded in-process LRU tier holding serialized payload bytes.
+    """Bounded in-process LRU tier holding cache entries.
 
-    ``load``/``store`` speak ``bytes`` (compact JSON): a computed
-    payload, or a disk hit that decoded when it was checked. A hit
+    ``load``/``store`` speak ``bytes``: a computed entry, or a disk hit
+    that passed its check. A hit
     refreshes recency; capacity overflow evicts the least recently used
     entry and counts it in :attr:`stats.evictions <CacheStats.evictions>`.
     """
@@ -110,7 +113,7 @@ class MemoryResultCache:
         self.stats = CacheStats()
 
     def load(self, key: str) -> bytes | None:
-        """The stored payload bytes for ``key`` (refreshes LRU recency)."""
+        """The stored entry for ``key`` (refreshes LRU recency)."""
         raw = self._entries.get(key)
         if raw is None:
             self.stats.misses += 1
@@ -257,14 +260,14 @@ class DirectoryBackend:
 
 
 class ShardedResultCache:
-    """The shared result tier: payload semantics over a byte backend.
+    """The shared result tier: entry semantics over a byte backend.
 
-    Speaks both decoded payload dicts (:meth:`load`/:meth:`store`) and
-    raw serialized bytes (:meth:`load_raw`/:meth:`store_raw` — the
-    zero-copy path the sweep runner and the service warm path use).
-    A corrupt entry (unreadable bytes or invalid JSON) is a miss; the
-    next store overwrites it. All hit/miss/store accounting lives here,
-    backend-independent.
+    Speaks both raw bytes (:meth:`load_raw`/:meth:`store_raw` — the
+    zero-copy path the sweep runner and the service warm path use, via
+    :meth:`load_checked`) and decoded payload dicts
+    (:meth:`load`/:meth:`store`). An entry that fails its check is a
+    miss; the next store overwrites it. All hit/miss/store accounting
+    lives here, backend-independent.
     """
 
     def __init__(self, backend: CacheBackend) -> None:
@@ -273,7 +276,7 @@ class ShardedResultCache:
 
     # ------------------------------------------------------------------
     def load_raw(self, key: str) -> bytes | None:
-        """The stored payload bytes for ``key``, or ``None`` on a miss."""
+        """The stored bytes for ``key``, unchecked, or ``None`` on a miss."""
         raw = self.backend.get(key)
         if raw is None:
             self.stats.misses += 1
@@ -282,51 +285,73 @@ class ShardedResultCache:
         return raw
 
     def load_checked(
-        self, key: str, decode: Callable[[bytes], Any],
+        self, key: str, check: Callable[[bytes], tuple[bytes, Any]],
     ) -> tuple[bytes, Any] | None:
-        """``(bytes, decode(bytes))`` for ``key``, or ``None`` on a miss.
+        """``check(stored bytes)`` for ``key``, or ``None`` on a miss.
 
-        An entry ``decode`` raises on (truncated, empty, not JSON, a
-        missing field) is a miss: counted as one, and left in place for
-        the recomputed result to overwrite.
+        ``check`` returns ``(entry, value)``: the entry to serve and
+        what it decoded into. Stored bytes ``check`` raises on (a failed
+        hash, truncated, empty, a missing field) are a miss: counted as
+        one, and left in place for the recomputed result to overwrite.
+        An entry other than the stored bytes (an upgrade of an older
+        format) is written back once; if that write fails it is counted
+        in ``stats.store_errors`` and served all the same.
         """
         raw = self.load_raw(key)
         if raw is None:
             return None
         try:
-            value = decode(raw)
-        except Exception:  # noqa: BLE001 - any decode failure is a miss
+            entry, value = check(raw)
+        except Exception:  # noqa: BLE001 - any failed check is a miss
             self.stats.hits -= 1
             self.stats.misses += 1
             return None
-        return raw, value
+        if entry is not raw:
+            try:
+                self.store_raw(key, entry)
+            except OSError:
+                self.stats.store_errors += 1
+        return entry, value
 
     def load(self, key: str) -> dict[str, Any] | None:
-        """The decoded payload for ``key``; invalid JSON is a miss."""
+        """The decoded payload for ``key``; bytes that do not check or
+        parse into a JSON object are a miss.
+
+        Reads an entry's whole body, and a plain JSON payload (what
+        :meth:`store` writes) as it is.
+        """
         raw = self.backend.get(key)
+        payload = None
         if raw is not None:
             try:
+                if is_entry(raw):
+                    check_entry(raw)
+                    raw = bytes(entry_body(raw))
                 payload = json.loads(raw)
-            except (json.JSONDecodeError, UnicodeDecodeError):
+            except ValueError:  # a failed check, bad JSON, bad UTF-8
                 payload = None
-            if isinstance(payload, dict):
-                self.stats.hits += 1
-                return payload
+        if isinstance(payload, dict):
+            self.stats.hits += 1
+            return payload
         self.stats.misses += 1
         return None
 
     def store(self, key: str, payload: dict[str, Any]) -> None:
-        """Atomically persist ``payload`` under ``key``."""
+        """Atomically persist ``payload`` under ``key`` as plain JSON.
+
+        The sweep runner reads such an entry as one in the format before
+        entries carried a header, and upgrades it on its first read.
+        """
         self.store_raw(
             key, json.dumps(payload, separators=(",", ":")).encode()
         )
 
     def store_raw(self, key: str, raw: bytes) -> None:
-        """Atomically persist already-serialized JSON ``raw`` under ``key``.
+        """Atomically persist the entry ``raw`` under ``key``.
 
-        Zero-copy path for the sweep runner, whose workers ship payloads
-        as serialized bytes: the bytes land in the backend without a
-        decode / re-encode round trip.
+        Zero-copy path for the sweep runner, whose workers ship entries
+        as bytes: they land in the backend without a decode / re-encode
+        round trip.
         """
         self.backend.put(key, raw)
         self.stats.stores += 1

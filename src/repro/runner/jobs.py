@@ -163,7 +163,7 @@ class SimJob:
         """The canonical JSON-ready identity hashed into the cache key."""
         return {
             "engine_version": ENGINE_VERSION,
-            "machine": asdict(self.machine),
+            "machine": self.machine.identity(),
             "scheme": self.scheme.name if self.scheme else None,
             "workload": _workload_fingerprint(self.workload),
             "high_level_patterns": self.high_level_patterns,

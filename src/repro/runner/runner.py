@@ -17,12 +17,13 @@ simulations through. It
   a serial fallback), or a
   :class:`~repro.dist.coordinator.FleetDispatcher` shipping the same
   chunks to remote workers;
-* ships worker results back as zlib-compressed JSON bytes (one compact
-  buffer per job instead of a pickled object graph), and
-* keeps every result as those payload bytes through all the tiers
-  (:meth:`SweepRunner.resolve_raw`), decoding a distinct cell once, at
-  the edge, only for a caller that wants the object — so a result is
-  bit-identical (see
+* ships worker results back as zlib-compressed cache entries (one
+  self-verifying buffer per job, :mod:`repro.runner.entry`, instead of a
+  pickled object graph), and
+* keeps every result as that entry through all the tiers
+  (:meth:`SweepRunner.resolve_raw`), decoding a distinct cell's summary
+  once, at the edge, only for a caller that wants the object — so a
+  result is bit-identical (see
   :func:`~repro.analysis.serialization.canonical_result_bytes`) whether
   it was computed serially, in a worker process, replayed from the
   memory tier, or read back from disk.
@@ -44,6 +45,12 @@ from repro.baselines.sequential import SequentialResult, simulate_sequential
 from repro.core.engine import Simulation
 from repro.core.results import SimulationResult
 from repro.runner.cache import MemoryResultCache, ResultCache
+from repro.runner.entry import (
+    check_entry,
+    decode_summary,
+    encode_entry,
+    is_entry,
+)
 from repro.runner.jobs import SimJob
 from repro.runner.singleflight import SingleFlight
 
@@ -63,9 +70,10 @@ class Resolved(NamedTuple):
 
     #: The tier that answered: a :data:`PROGRESS_SOURCES` entry.
     source: str
-    #: The payload bytes, as stored in every tier.
+    #: The cache entry (:mod:`repro.runner.entry`), as every tier
+    #: stores it.
     raw: bytes
-    #: For a disk hit, the result its bytes decoded into when they were
+    #: For a disk hit, the result its summary decoded into when it was
     #: checked; ``None`` for every other source.
     result: SimulationResult | SequentialResult | None = None
 
@@ -163,31 +171,51 @@ def result_from_payload(
 
 
 def decode_payload(raw: bytes) -> SimulationResult | SequentialResult:
-    """Decode stored payload bytes into the result they serialize.
+    """Decode a cache entry into the result it serializes.
 
-    Raises on bytes that do not decode into a result — truncated, empty,
-    not JSON, a missing field — which is what makes a cached entry a
-    miss (:meth:`~repro.runner.cache.ShardedResultCache.load_checked`).
+    Parses the summary only: the memory image and observed reads stay
+    unparsed until first accessed. Raises on an entry whose summary does
+    not decode into a result (a missing field, a bad header); the hash
+    is checked where bytes enter the process (:func:`read_entry`).
     """
-    return result_from_payload(json.loads(raw))
+    return result_from_payload(decode_summary(raw))
 
 
-def _encode_payload(payload: dict[str, Any]) -> bytes:
-    """Serialize a payload to the compact JSON bytes the tiers store."""
-    return json.dumps(payload, separators=(",", ":")).encode()
+def read_entry(
+    raw: bytes,
+) -> tuple[bytes, SimulationResult | SequentialResult]:
+    """The shared tier's read rule: ``(entry to serve, its result)``.
+
+    An entry must pass its hash check and its summary must decode;
+    anything else raises, which
+    :meth:`~repro.runner.cache.ShardedResultCache.load_checked` counts
+    as a miss. Used by :meth:`SweepRunner.lookup` and the fleet worker's
+    warm-key read alike.
+    """
+    if not is_entry(raw):
+        # A headerless entry was written before entries carried a header
+        # (same ENGINE_VERSION, so same key): its one full decode is its
+        # check, and it is served as its upgrade, which load_checked
+        # writes back once. This branch goes at the next ENGINE_VERSION
+        # bump, which changes every key.
+        payload = json.loads(raw)
+        result = result_from_payload(payload)
+        return encode_entry(payload), result
+    check_entry(raw)
+    return raw, decode_payload(raw)
 
 
 def canonical_payload_digest(raw: bytes) -> str:
     """SHA-256 of the canonical byte form of a serialized result payload.
 
-    For simulation results this decodes the payload and hashes
+    For simulation results this decodes the payload JSON and hashes
     :func:`~repro.analysis.serialization.canonical_result_bytes` — the
-    exact bytes the determinism tests compare — so the digest is
-    identical whether the result was computed here, by a CLI run, by a
-    service frontend, or by a fleet worker on another host (the digest
-    every fleet result envelope carries). Sequential-baseline payloads
-    (which carry no host-measured field) hash their sorted-key JSON
-    form directly.
+    exact bytes the determinism tests compare. It is how a client checks
+    a service envelope's ``digest`` against the payload it received;
+    producers store the same digest in each cache entry's header
+    (:func:`~repro.runner.entry.canonical_digest`) without a decode.
+    Sequential-baseline payloads (which carry no host-measured field)
+    hash their sorted-key JSON form directly.
     """
     from repro.analysis.serialization import canonical_result_bytes
 
@@ -202,16 +230,17 @@ def canonical_payload_digest(raw: bytes) -> str:
 def _worker_chunk(jobs: Sequence[SimJob]) -> list[tuple[str, bytes]]:
     """Pool entry point: execute a chunk of jobs in one task.
 
-    Returns ``(cache key, zlib-compressed JSON payload)`` per job: one
+    Returns ``(cache key, zlib-compressed cache entry)`` per job: one
     compact buffer crosses the process boundary instead of a pickled
-    result-object graph, and the chunking amortizes task dispatch
-    overhead across several simulations.
+    result-object graph, the entry (and its canonical digest) is built
+    here, in the worker process, and the chunking amortizes task
+    dispatch overhead across several simulations.
     """
     return [
         (
             job.cache_key(),
             zlib.compress(
-                _encode_payload(payload_from_result(execute_job(job))), 1
+                encode_entry(payload_from_result(execute_job(job))), 1
             ),
         )
         for job in jobs
@@ -280,7 +309,7 @@ class SweepRunner:
         Duplicate jobs (same cache key) are resolved once, through
         :meth:`resolve_raw` — including across *concurrent* callers,
         which join in-flight computations instead of repeating them —
-        and each distinct cell's payload bytes are decoded exactly once,
+        and each distinct cell's entry summary is decoded exactly once,
         as the cell resolves (a disk hit reuses the decode that checked
         it; a computed cell decodes while the rest of the batch is still
         computing). Traced jobs run live in this process and bypass
@@ -316,16 +345,18 @@ class SweepRunner:
     def lookup(self, key: str) -> Resolved | None:
         """Memory tier, then the checked shared tier; never computes.
 
-        A disk hit is decoded once to check it — an entry that does not
-        decode is a miss, never promoted — and its bytes are promoted
-        into the memory tier exactly as read.
+        A disk hit is checked by :func:`read_entry` — its hash, then one
+        summary decode, which is also the result it returns; an entry
+        that fails either is a miss, never promoted — and promoted into
+        the memory tier exactly as read. Memory hits are not re-hashed:
+        that tier only holds entries checked or computed in this process.
         """
         raw = self.memory_cache.load(key)
         if raw is not None:
             return Resolved("memory", raw)
         if self.cache is None:
             return None
-        hit = self.cache.load_checked(key, decode_payload)
+        hit = self.cache.load_checked(key, read_entry)
         if hit is None:
             return None
         raw, result = hit
@@ -336,7 +367,7 @@ class SweepRunner:
         self, cells: dict[str, SimJob],
         on_cell: CellCallback | None = None,
     ) -> dict[str, Resolved]:
-        """The tier walk: payload bytes for each ``key -> job`` cell.
+        """The tier walk: the cache entry for each ``key -> job`` cell.
 
         Per cell, in order: :meth:`lookup` (memory tier, then the checked
         shared tier), then the :class:`~repro.runner.singleflight.\
@@ -346,7 +377,8 @@ SingleFlight` registry — a key another caller is computing is joined,
         lands, so concurrent readers see cells as they finish, and
         ``on_cell(key, resolved)`` is called once per cell as it
         resolves. Nothing is decoded here beyond the disk-hit check:
-        callers that only move bytes (the service) never build a result.
+        callers that only move entries (the service) never build a
+        result.
         Cells must be cacheable (not ``traced``).
         """
         resolved: dict[str, Resolved] = {}
@@ -414,7 +446,7 @@ SingleFlight` registry — a key another caller is computing is joined,
         The dispatcher contract (see :class:`~repro.dist.dispatch.\
 Dispatcher`) mirrors what this method always promised: ``on_result``
         is called at most once per key, from this thread, with the
-        canonical payload bytes — so every backend (serial, process
-        pool, worker fleet) feeds the cache tiers identically.
+        result's cache entry — so every backend (serial, process pool,
+        worker fleet) feeds the cache tiers identically.
         """
         self.dispatcher.compute(pending, on_result)

@@ -15,21 +15,30 @@ Determinism contract, restated for the wire: a response's ``digest`` is
 the SHA-256 of the result's canonical byte form
 (:func:`~repro.analysis.serialization.canonical_result_bytes`), so a
 client can verify that what it decoded over HTTP is bit-identical to a
-local run of the same job — no matter which tier served it.
+local run of the same job — no matter which tier served it. The digest
+is the one the result's producer stored in its cache entry's header
+(:mod:`repro.runner.entry`); the entry passed its hash check on the way
+in, so serving it takes no hash and no decode.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 from repro.runner.cache import MemoryResultCache, ResultCache
+from repro.runner.entry import entry_body, entry_digest
 from repro.runner.jobs import SimJob
-from repro.runner.runner import Resolved, SweepRunner
+# canonical_payload_digest is re-exported for clients: it recomputes an
+# envelope's digest from the payload JSON received.
+from repro.runner.runner import (  # noqa: F401
+    Resolved,
+    SweepRunner,
+    canonical_payload_digest,
+)
 
 #: Default bound (seconds) a request waits on a computation another
 #: request leads before failing with a timeout instead of hanging.
@@ -51,16 +60,6 @@ DEFAULT_SERVICE_MEMORY_ENTRIES = 1024
 #: memory stays bounded; running sweeps are never pruned.
 MAX_FINISHED_SWEEPS = 256
 
-#: Bound on the key → canonical-digest memo. Entries are ~100 bytes, so
-#: this is generosity, not pressure — the point is that the memo cannot
-#: grow monotonically with distinct keys served.
-MAX_DIGEST_MEMO_ENTRIES = 4096
-
-
-# Re-exported from its home in the runner layer: the digest is what the
-# fleet's bit-identity cross-check hashes, so it lives beside the cache
-# payload encoding rather than in the HTTP-facing service.
-from repro.runner.runner import canonical_payload_digest  # noqa: E402,F401
 
 
 @dataclass
@@ -124,10 +123,6 @@ class SimulationService:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._sweeps: dict[str, SweepState] = {}
         self._sweep_seq = 0
-        #: key -> canonical digest, memoized (bounded LRU) so the warm
-        #: lookup path never re-decodes a payload it has digested
-        #: recently.
-        self._digests: OrderedDict[str, str] = OrderedDict()
         self.counters: dict[str, int] = {
             "jobs.submitted": 0,
             "sweeps.submitted": 0,
@@ -155,13 +150,13 @@ class SimulationService:
     # Cached lookup (the warm path)
     # ------------------------------------------------------------------
     def lookup_raw(self, key: str) -> tuple[str, bytes] | None:
-        """Tiered read-only lookup: ``(source, payload bytes)`` or miss.
+        """Tiered read-only lookup: ``(source, cache entry)`` or miss.
 
         The runner's own :meth:`~repro.runner.runner.SweepRunner.lookup`:
         memory tier first (sub-millisecond: one dict probe, no decode),
-        then the shared tier, whose hit is checked by decoding it once —
-        an entry that does not decode is a miss — and promoted into the
-        memory tier as read. Never computes.
+        then the shared tier, whose hit must pass its hash check and
+        decode its summary — anything else is a miss — and is promoted
+        into the memory tier as read. Never computes.
         """
         hit = self.runner.lookup(key)
         if hit is None:
@@ -169,40 +164,28 @@ class SimulationService:
         return hit.source, hit.raw
 
     def digest_for(self, key: str, raw: bytes) -> str:
-        """The (memoized) canonical digest of ``key``'s payload.
-
-        The memo is a bounded LRU (:data:`MAX_DIGEST_MEMO_ENTRIES`):
-        a frontend serving an unbounded stream of distinct keys pays an
-        occasional re-digest instead of growing without limit.
-        """
-        digest = self._digests.get(key)
-        if digest is None:
-            digest = canonical_payload_digest(raw)
-            self._digests[key] = digest
-            if len(self._digests) > MAX_DIGEST_MEMO_ENTRIES:
-                self._digests.popitem(last=False)
-        else:
-            self._digests.move_to_end(key)
-        return digest
+        """The canonical digest of ``key``'s entry ``raw``: the one its
+        producer stored in the header."""
+        return entry_digest(raw)
 
     def envelope_bytes(self, key: str, source: str, raw: bytes,
                        description: str | None = None) -> bytes:
-        """The result-envelope JSON, spliced around the stored bytes.
+        """The result-envelope JSON, spliced around the stored entry.
 
-        The payload is embedded verbatim (it is already compact JSON),
-        so the warm path serves without decoding or re-encoding the
-        result — the property that keeps a memory hit sub-millisecond.
+        The entry's body is embedded verbatim (it is already the compact
+        payload JSON) behind the header's digest, so the warm path
+        serves with no hash, decode or re-encode — the property that
+        keeps a memory hit sub-millisecond.
         """
         self.counters["results.served"] += 1
-        head: dict[str, Any] = {
-            "key": key,
-            "source": source,
-            "digest": self.digest_for(key, raw),
-        }
-        if description is not None:
-            head["describe"] = description
-        prefix = json.dumps(head, separators=(",", ":"))
-        return prefix[:-1].encode() + b',"result":' + raw + b"}"
+        describe = (b"" if description is None
+                    else b',"describe":' + json.dumps(description).encode())
+        return b"".join((
+            b'{"key":', json.dumps(key).encode(),
+            b',"source":"', source.encode(),
+            b'","digest":"', self.digest_for(key, raw).encode(), b'"',
+            describe, b',"result":', entry_body(raw), b"}",
+        ))
 
     # ------------------------------------------------------------------
     # Compute paths

@@ -15,6 +15,7 @@ from repro.core.config import (
     scaled_machine,
 )
 from repro.runner.cache import DirectoryBackend
+from repro.runner.entry import encode_entry, entry_body, entry_digest
 from repro.tls.task import OP_COMPUTE, OP_READ, OP_WRITE, TaskSpec
 from repro.workloads.base import Workload
 
@@ -58,20 +59,47 @@ def make_workload(name: str, *tasks: TaskSpec) -> Workload:
     return Workload(name=name, tasks=tuple(tasks))
 
 
-#: The bad entries a shared cache tier can hold: cut short, empty, and
-#: valid JSON that no longer decodes into a result.
-CORRUPTIONS = ("truncated", "empty", "missing-field")
+#: The bad entries a shared cache tier can hold: cut short; empty; an
+#: intact entry (valid hash) whose summary no longer decodes into a
+#: result; one digit of the memory image changed, still valid JSON; and
+#: one hex digit of the stored canonical digest changed.
+CORRUPTIONS = ("truncated", "empty", "missing-field", "bit-flip",
+               "header-flip")
+
+
+def _other_digit(digit: int) -> bytes:
+    """A digit other than ``digit`` that is never ``0`` (no leading
+    zero can make the JSON invalid)."""
+    return b"2" if digit == ord("1") else b"1"
 
 
 def corrupt(raw: bytes, kind: str) -> bytes:
-    """A stored simulation payload spoiled the way ``kind`` names."""
+    """A stored simulation entry spoiled the way ``kind`` names."""
     if kind == "truncated":
         return raw[:len(raw) // 2]
     if kind == "empty":
         return b""
-    payload = json.loads(raw)
-    del payload["total_cycles"]
-    return json.dumps(payload).encode()
+    if kind == "missing-field":
+        payload = json.loads(bytes(entry_body(raw)))
+        del payload["total_cycles"]
+        return encode_entry(payload)
+    if kind == "bit-flip":
+        image = raw.index(b'"memory_image":{')
+        at = raw.index(b":", image + len(b'"memory_image":{')) + 1
+        return raw[:at] + _other_digit(raw[at]) + raw[at + 1:]
+    assert kind == "header-flip"
+    at = raw.index(entry_digest(raw).encode())
+    flipped = b"a" if raw[at] != ord("a") else b"b"
+    return raw[:at] + flipped + raw[at + 1:]
+
+
+def headerless(result) -> bytes:
+    """A result stored the way entries were before they carried a
+    header: its payload as plain compact JSON."""
+    from repro.runner import payload_from_result
+
+    return json.dumps(payload_from_result(result),
+                      separators=(",", ":")).encode()
 
 
 class FullDiskBackend(DirectoryBackend):

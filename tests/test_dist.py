@@ -61,8 +61,15 @@ from repro.runner import (
     SweepRunner,
     WorkloadSpec,
 )
-from repro.runner.runner import canonical_payload_digest
-from tests.conftest import CORRUPTIONS, FullDiskBackend, corrupt
+from repro.runner.entry import (
+    check_entry,
+    encode_entry,
+    entry_body,
+    entry_digest,
+    is_entry,
+)
+from repro.runner.runner import canonical_payload_digest, decode_payload
+from tests.conftest import CORRUPTIONS, FullDiskBackend, corrupt, headerless
 
 SCALE = 0.05
 
@@ -182,12 +189,10 @@ def test_local_pool_serial_path_delivers_each_key_once():
     assert dispatcher.stats.serial_batches == 1
     assert dispatcher.stats.jobs == 2
     reference = _serial_bytes(jobs)
-    from repro.runner import result_from_payload
-    import json
-
-    assert [canonical_result_bytes(
-        result_from_payload(json.loads(landed[j.cache_key()])))
-        for j in jobs] == reference
+    for raw in landed.values():
+        check_entry(raw)
+    assert [canonical_result_bytes(decode_payload(landed[j.cache_key()]))
+            for j in jobs] == reference
 
 
 def test_local_pool_propagates_a_sink_error_unchanged():
@@ -299,27 +304,61 @@ def test_backoff_delays_are_capped_exponential():
 # ----------------------------------------------------------------------
 # Digest cross-check: divergent fleets are refused
 # ----------------------------------------------------------------------
-def test_forged_digest_poisons_the_fleet(fleet):
+def test_forged_digest_poisons_the_fleet(fleet, tmp_path):
     jobs = _grid(machines=(NUMA_16,), n_schemes=4, seed=15)
-    # Sweep 1: a forging worker computes every cell; its bogus digests
-    # are recorded (nothing to cross-check against yet, so it passes).
+    # A forging worker's envelope digest is not the one its entry's
+    # header stores: its first envelope fails the receipt check and
+    # latches the poison before anything is delivered or stored.
     forger, forger_thread = _start_agent(fleet, forge_digest=True)
     _wait_workers(fleet, 1)
-    SweepRunner(cache=None, dispatcher=fleet).run_many(jobs)
+    runner = SweepRunner(cache=ResultCache(tmp_path), dispatcher=fleet)
+    with pytest.raises(FleetDivergenceError, match="receipt check"):
+        runner.run_many(jobs)
+    assert fleet.stats.digest_mismatches == 1
+    assert fleet.stats.results_received == 0
+    assert fleet.coordinator.poisoned is not None
+    assert len(runner.cache) == 0
+    assert len(runner.memory_cache) == 0
     forger.request_drain()
     forger_thread.join(timeout=10)
-    # Sweep 2: an honest worker recomputes the same cells; its (real)
-    # digests disagree with the registry — the fleet is refused.
+    # An honest worker cannot clear it: the poison latches, and further
+    # work is refused outright.
+    honest, honest_thread = _start_agent(fleet)
+    _wait_workers(fleet, 1)
+    with pytest.raises(FleetDivergenceError):
+        SweepRunner(cache=None, dispatcher=fleet).run_many(
+            _grid(machines=(NUMA_16,), n_schemes=2, seed=16))
+    assert fleet.stats.results_received == 0
+    honest.request_drain()
+    honest_thread.join(timeout=10)
+
+
+def test_self_consistent_wrong_entry_is_caught_by_the_cross_check(
+        fleet, monkeypatch):
+    import repro.runner.entry as entry_mod
+
+    jobs = _grid(machines=(NUMA_16,), n_schemes=2, seed=18)
+    # Sweep 1: a worker builds well-formed wrong entries whose headers
+    # carry their own (wrong) digests. They pass the receipt check;
+    # the registry records their digests.
+    real_encode = entry_mod.encode_entry
+    monkeypatch.setattr(
+        entry_mod, "encode_entry",
+        lambda payload: real_encode(
+            {**payload, "total_cycles": payload["total_cycles"] + 1}))
+    liar, liar_thread = _start_agent(fleet)
+    _wait_workers(fleet, 1)
+    SweepRunner(cache=None, dispatcher=fleet).run_many(jobs)
+    liar.request_drain()
+    liar_thread.join(timeout=10)
+    monkeypatch.setattr(entry_mod, "encode_entry", real_encode)
+    # Sweep 2: an honest worker recomputes the same cells; its digests
+    # disagree with the registry — the fleet is refused.
     honest, honest_thread = _start_agent(fleet)
     _wait_workers(fleet, 1)
     with pytest.raises(FleetDivergenceError, match="divergence"):
         SweepRunner(cache=None, dispatcher=fleet).run_many(jobs)
-    assert fleet.stats.digest_mismatches >= 1
-    assert fleet.coordinator.poisoned is not None
-    # The poison latches: further work is refused outright.
-    with pytest.raises(FleetDivergenceError):
-        SweepRunner(cache=None, dispatcher=fleet).run_many(
-            _grid(machines=(NUMA_16,), n_schemes=2, seed=16))
+    assert fleet.stats.digest_mismatches == 1
     honest.request_drain()
     honest_thread.join(timeout=10)
 
@@ -379,8 +418,6 @@ def test_worker_short_circuits_warm_keys(fleet, tmp_path):
 @pytest.mark.parametrize("kind", CORRUPTIONS)
 def test_undecodable_shared_entry_is_recomputed_by_the_fleet(fleet, tmp_path,
                                                             kind):
-    from repro.runner.runner import decode_payload
-
     job = _grid(machines=(NUMA_16,), n_schemes=1, seed=21)[0]
     cache = ResultCache(tmp_path)
     SweepRunner(jobs=1, cache=cache).run(job)
@@ -402,6 +439,29 @@ def test_undecodable_shared_entry_is_recomputed_by_the_fleet(fleet, tmp_path,
     # The worker saw the same bad entry, treated it as a miss, computed.
     assert agent.summary()["cache_hits"] == 0
     assert agent.cache.stats.misses == 1
+
+
+def test_worker_serves_and_upgrades_a_headerless_entry(fleet, tmp_path):
+    job = _grid(machines=(NUMA_16,), n_schemes=1, seed=23)[0]
+    reference = _serial_bytes([job])[0]
+    # A warm entry in the format before entries carried a header.
+    result = SweepRunner(jobs=1, cache=None).run(job)
+    path = ResultCache(tmp_path).path_for(job.cache_key())
+    path.parent.mkdir(parents=True)
+    path.write_bytes(headerless(result))
+    agent, thread = _start_agent(fleet, cache=ResultCache(tmp_path))
+    _wait_workers(fleet, 1)
+    results = SweepRunner(cache=None, dispatcher=fleet).run_many([job])
+    assert canonical_result_bytes(results[0]) == reference
+    assert fleet.stats.cache_short_circuits == 1
+    agent.request_drain()
+    thread.join(timeout=10)
+    assert agent.cache_hits == 1
+    assert agent.cache.stats.stores == 1  # the one upgrade
+    upgraded = path.read_bytes()
+    assert is_entry(upgraded)
+    check_entry(upgraded)
+    assert canonical_result_bytes(decode_payload(upgraded)) == reference
 
 
 def test_full_disk_on_a_worker_is_computed_not_cached(fleet, tmp_path):
@@ -504,19 +564,15 @@ def test_fleet_wide_single_compute_joins_inflight_keys(fleet):
 # ----------------------------------------------------------------------
 def test_canonical_payload_digest_matches_serialization():
     import hashlib
-    import json as _json
 
-    from repro.runner.runner import (
-        _encode_payload,
-        execute_job,
-        payload_from_result,
-    )
+    from repro.runner.runner import execute_job, payload_from_result
 
     job = _grid(machines=(NUMA_16,), n_schemes=1, seed=19)[0]
     result = execute_job(job)
-    raw = _encode_payload(payload_from_result(result))
+    raw = encode_entry(payload_from_result(result))
     expected = hashlib.sha256(canonical_result_bytes(result)).hexdigest()
-    assert canonical_payload_digest(raw) == expected
+    assert canonical_payload_digest(bytes(entry_body(raw))) == expected
+    assert entry_digest(raw) == expected
     # And the service re-export still points at the same function.
     from repro.service.app import canonical_payload_digest as service_digest
 

@@ -30,7 +30,7 @@ from repro.runner import (
     WorkloadSpec,
     shard_of,
 )
-from tests.conftest import CORRUPTIONS, FullDiskBackend, corrupt
+from tests.conftest import CORRUPTIONS, FullDiskBackend, corrupt, headerless
 
 SCALE = 0.1
 
@@ -246,7 +246,7 @@ def test_disk_hit_is_promoted_as_the_bytes_read(tmp_path, monkeypatch):
         loads.append(raw)
         return real_loads(raw, *args, **kwargs)
 
-    monkeypatch.setattr(runner_mod, "_encode_payload", no_reencode)
+    monkeypatch.setattr(runner_mod, "encode_entry", no_reencode)
     monkeypatch.setattr(json, "loads", counting_loads)
     runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path))
     results = runner.run_many(jobs)
@@ -287,6 +287,98 @@ def test_undecodable_entry_is_a_counted_miss_recomputed_and_overwritten(
     assert memory.load(key) == stored
 
 
+def test_headerless_entry_is_served_and_upgraded_once(tmp_path):
+    from repro.runner.entry import check_entry, is_entry
+
+    job = _job()
+    key = job.cache_key()
+    fresh = SweepRunner(jobs=1, cache=None).run(job)
+    reference = canonical_result_bytes(fresh)
+    path = ResultCache(tmp_path).path_for(key)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(headerless(fresh))
+
+    runner = SweepRunner(jobs=1, cache=ResultCache(tmp_path))
+    assert canonical_result_bytes(runner.run(job)) == reference
+    stats = runner.cache.stats
+    assert (stats.hits, stats.misses, stats.stores) == (1, 0, 1)
+    upgraded = path.read_bytes()
+    assert is_entry(upgraded)
+    check_entry(upgraded)
+    assert runner.memory_cache.load(key) == upgraded
+
+    # The second read takes the entry path: no decode of the whole
+    # payload, no rewrite.
+    again = SweepRunner(jobs=1, cache=ResultCache(tmp_path))
+    result = again.run(job)
+    assert "memory_image" not in vars(result)  # left unparsed
+    assert canonical_result_bytes(result) == reference
+    assert (again.cache.stats.hits, again.cache.stats.stores) == (1, 0)
+    assert path.read_bytes() == upgraded
+
+
+def test_headerless_entry_is_served_when_its_upgrade_cannot_be_written(
+        tmp_path):
+    from repro.runner.entry import is_entry
+
+    job = _job()
+    fresh = SweepRunner(jobs=1, cache=None).run(job)
+    legacy = headerless(fresh)
+    path = ResultCache(tmp_path).path_for(job.cache_key())
+    path.parent.mkdir(parents=True)
+    path.write_bytes(legacy)
+
+    cache = ShardedResultCache(FullDiskBackend(tmp_path))
+    runner = SweepRunner(jobs=1, cache=cache)
+    result = runner.run(job)
+    assert canonical_result_bytes(result) == canonical_result_bytes(fresh)
+    assert (cache.stats.hits, cache.stats.stores,
+            cache.stats.store_errors) == (1, 0, 1)
+    assert path.read_bytes() == legacy
+    assert is_entry(runner.memory_cache.load(job.cache_key()))
+
+
+def test_concurrent_writers_never_expose_a_torn_entry(tmp_path):
+    import threading
+    import time
+
+    from repro.runner import execute_job, payload_from_result
+    from repro.runner.entry import check_entry, encode_entry
+
+    entries = [encode_entry(payload_from_result(execute_job(job)))
+               for job in (_job(), _job(seed=1))]
+    assert entries[0] != entries[1]
+    backend = DirectoryBackend(tmp_path)
+    key = "ab" * 32
+    backend.put(key, entries[0])
+    stop = threading.Event()
+
+    def writer(index):
+        while not stop.is_set():
+            backend.put(key, entries[index % 2])
+            index += 1
+
+    writers = [threading.Thread(target=writer, args=(index,))
+               for index in range(8)]
+    for thread in writers:
+        thread.start()
+    reads = 0
+    try:
+        deadline = time.monotonic() + 2.0
+        while time.monotonic() < deadline:
+            raw = backend.get(key)
+            assert raw in entries  # complete: one writer's whole entry
+            check_entry(raw)
+            reads += 1
+    finally:
+        stop.set()
+        for thread in writers:
+            thread.join(timeout=10)
+    assert not any(thread.is_alive() for thread in writers)
+    assert reads > 0
+    assert list(tmp_path.glob("*/*.tmp")) == []
+
+
 def test_raw_and_decoded_paths_see_the_same_payload(tmp_path):
     cache = ResultCache(tmp_path)
     key = "ee" + "0" * 62
@@ -294,6 +386,19 @@ def test_raw_and_decoded_paths_see_the_same_payload(tmp_path):
     cache.store(key, payload)
     assert json.loads(cache.load_raw(key)) == payload
     assert cache.load(key) == payload
+
+
+def test_decoded_path_reads_and_checks_entries(tmp_path):
+    from repro.runner.entry import encode_entry
+
+    cache = ResultCache(tmp_path)
+    key = "ef" + "0" * 62
+    payload = {"kind": "demo", "memory_image": {"1": 2}, "values": [3]}
+    cache.store_raw(key, encode_entry(payload))
+    assert cache.load(key) == payload
+    cache.store_raw(key, corrupt(encode_entry(payload), "header-flip"))
+    assert cache.load(key) is None
+    assert (cache.stats.hits, cache.stats.misses) == (1, 1)
 
 
 # ----------------------------------------------------------------------

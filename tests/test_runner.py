@@ -234,7 +234,7 @@ def test_corrupt_cache_entry_is_a_miss_and_recomputed(tmp_path):
     again = SweepRunner(jobs=1, cache=ResultCache(tmp_path)).run(job)
     assert canonical_result_bytes(again) == canonical_result_bytes(first)
     # The recomputed result was stored back over the corrupt entry.
-    assert json.loads(path.read_text())["total_cycles"] > 0
+    assert ResultCache(tmp_path).load(job.cache_key())["total_cycles"] > 0
 
 
 def test_no_cache_runner_recomputes():
@@ -593,3 +593,169 @@ def test_result_from_payload_leaves_its_argument_unchanged():
     assert payload == before
     assert result.metrics is not None
     assert result.metrics.to_dict() == payload["metrics"]
+
+
+# ----------------------------------------------------------------------
+# Self-verifying entries and deferred heavy fields
+# ----------------------------------------------------------------------
+def _live_digest(result):
+    """SHA-256 of a live result's canonical bytes (sorted-key payload
+    JSON for a sequential baseline)."""
+    import hashlib
+
+    from repro.analysis.serialization import sequential_result_to_dict
+
+    if isinstance(result, SequentialResult):
+        blob = json.dumps(sequential_result_to_dict(result),
+                          sort_keys=True).encode()
+    else:
+        blob = canonical_result_bytes(result)
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _unparsed(result):
+    names = type(result).DEFERRED_FIELDS
+    return not any(name in vars(result) for name in names)
+
+
+@pytest.fixture(scope="module")
+def figure_cache(tmp_path_factory, warm_figure_runner):
+    """A disk cache holding every cell of Figures 9-11: the entries the
+    serial path built for ``warm_figure_runner``."""
+    root = tmp_path_factory.mktemp("figure-cache")
+    cache = ResultCache(root)
+    memory = warm_figure_runner.memory_cache
+    for key in memory.keys():
+        cache.store_raw(key, memory.load(key))
+    return root
+
+
+def test_entry_digest_is_the_canonical_digest_of_every_figure_cell(
+        figure_cache):
+    from repro.runner import canonical_payload_digest
+    from repro.runner.entry import check_entry, entry_body, entry_digest
+
+    cache = ResultCache(figure_cache)
+    jobs = _figure_grid()
+    assert len(cache) == len(jobs) == 113
+    for job in jobs:
+        raw = cache.load_raw(job.cache_key())
+        check_entry(raw)
+        live = _live_digest(execute_job(job))
+        assert entry_digest(raw) == live, job.describe()
+        assert canonical_payload_digest(bytes(entry_body(raw))) == live
+
+
+def test_warm_figures_leave_heavy_fields_unparsed(figure_cache):
+    from repro.analysis import experiments
+    from repro.runner import result_from_payload
+    from repro.runner.entry import entry_body
+
+    runner = SweepRunner(jobs=1, cache=ResultCache(figure_cache))
+    passes = []
+    for _tier in ("disk", "memory"):
+        ctx = experiments.ExperimentContext(scale=FIGURE_SCALE,
+                                            runner=runner)
+        for figure in FIGURES:
+            getattr(experiments, figure)(ctx)
+        passes.append(dict(ctx._results))
+    assert runner.cache.stats.hits == 113
+    assert runner.memory_cache.stats.hits == 113
+    for results in passes:
+        assert len(results) == 113
+        assert all(_unparsed(result) for result in results.values())
+    cache = ResultCache(figure_cache)
+    for results in passes:
+        for key, deferred in results.items():
+            body = bytes(entry_body(cache.load_raw(key)))
+            eager = result_from_payload(json.loads(body))
+            assert not _unparsed(eager)
+            assert _live_digest(deferred) == _live_digest(eager)
+            assert not _unparsed(deferred)
+            assert deferred == eager
+
+
+@pytest.mark.parametrize("scheme", [MULTI_T_MV_LAZY, None])
+def test_deferred_fields_behave_like_eager_ones(scheme):
+    import dataclasses
+    import pickle
+
+    from repro.runner import payload_from_result
+    from repro.runner.entry import encode_entry
+    from repro.runner.runner import decode_payload
+
+    live = execute_job(_job(scheme=scheme))
+    raw = encode_entry(payload_from_result(live))
+
+    assert decode_payload(raw) == live
+    assert decode_payload(raw) != dataclasses.replace(
+        live, total_cycles=live.total_cycles + 1)
+
+    replaced = dataclasses.replace(decode_payload(raw),
+                                   total_cycles=live.total_cycles + 1)
+    assert replaced.memory_image == live.memory_image
+    assert replaced == dataclasses.replace(
+        live, total_cycles=live.total_cycles + 1)
+
+    deferred = decode_payload(raw)
+    restored = pickle.loads(pickle.dumps(deferred))
+    assert not _unparsed(restored)
+    assert "_pending" not in vars(restored)
+    assert restored == live
+    assert _live_digest(restored) == _live_digest(live)
+
+    # An assigned field keeps its value through the first parse.
+    if scheme is not None:
+        assigned = decode_payload(raw)
+        assigned.memory_image = {}
+        assert assigned.observed_reads == live.observed_reads
+        assert assigned.memory_image == {}
+
+
+def test_concurrent_first_access_parses_once(monkeypatch):
+    import sys
+
+    from repro.runner import payload_from_result
+    from repro.runner.entry import encode_entry
+    from repro.runner.runner import decode_payload
+
+    live = execute_job(_job())
+    raw = encode_entry(payload_from_result(live))
+    parses = []
+    real_loads = json.loads
+
+    def slow_loads(text, *args, **kwargs):
+        parses.append(len(text))
+        time.sleep(0.01)  # hold each parse open for the race
+        return real_loads(text, *args, **kwargs)
+
+    names = ("memory_image", "observed_reads")
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _round in range(5):
+            result = decode_payload(raw)
+            parses.clear()
+            monkeypatch.setattr(json, "loads", slow_loads)
+            barrier = threading.Barrier(8)
+            seen = [None] * 8
+
+            def read(index):
+                barrier.wait()
+                seen[index] = getattr(result, names[index % 2])
+
+            threads = [threading.Thread(target=read, args=(index,))
+                       for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            monkeypatch.setattr(json, "loads", real_loads)
+            assert len(parses) == 1  # one parse served all eight threads
+            for index, value in enumerate(seen):
+                assert value is getattr(result, names[index % 2])
+            assert result.memory_image == live.memory_image
+            assert result.observed_reads == live.observed_reads
+    finally:
+        sys.setswitchinterval(switch)

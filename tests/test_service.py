@@ -29,7 +29,7 @@ from repro.service import (
     job_from_request,
     jobs_from_sweep_request,
 )
-from tests.conftest import CORRUPTIONS, corrupt
+from tests.conftest import CORRUPTIONS, corrupt, headerless
 
 SCALE = 0.1
 APP = "Euler"
@@ -286,6 +286,76 @@ def test_undecodable_entry_is_404_then_recomputed(tmp_path, monkeypatch,
     assert promoted == [path.read_bytes()]
 
 
+def test_serving_takes_the_stored_digest_and_computes_none(tmp_path,
+                                                         monkeypatch):
+    import hashlib
+
+    from repro.runner import ResultCache
+    from repro.runner.entry import entry_digest
+    from repro.service import app as app_module
+
+    request = {"app": APP, "machine": "numa16",
+               "scheme": "MultiT&MV Lazy AMM", "scale": 0.03}
+    job = job_from_request(request)
+    SweepRunner(jobs=1, cache=ResultCache(tmp_path)).run(job)
+    stored = ResultCache(tmp_path).load_raw(job.cache_key())
+
+    def no_digest(raw):
+        raise AssertionError("the serve path computed a digest")
+
+    monkeypatch.setattr(app_module, "canonical_payload_digest", no_digest)
+    service = SimulationService(cache_dir=str(tmp_path), jobs=1)
+    thread = ServiceThread(service).start()
+    c = ServiceClient(thread.base_url)
+    try:
+        disk = c.get_job(job.cache_key())
+        memory = c.get_job(job.cache_key())
+        posted = c.submit_job(request)
+    finally:
+        c.close()
+        thread.stop()
+    assert [e["source"] for e in (disk, memory, posted)] \
+        == ["disk", "memory", "memory"]
+    fresh = SweepRunner(jobs=1, cache=None).run(job)
+    reference = hashlib.sha256(canonical_result_bytes(fresh)).hexdigest()
+    assert entry_digest(stored) == reference
+    assert [e["digest"] for e in (disk, memory, posted)] == [reference] * 3
+
+
+def test_headerless_entries_keep_serving(tmp_path):
+    import hashlib
+
+    from repro.runner import ResultCache
+    from repro.runner.entry import is_entry
+
+    request = {"app": APP, "machine": "numa16",
+               "scheme": "MultiT&MV Lazy AMM", "scale": 0.03}
+    job = job_from_request(request)
+    key = job.cache_key()
+    fresh = SweepRunner(jobs=1, cache=None).run(job)
+    reference = hashlib.sha256(canonical_result_bytes(fresh)).hexdigest()
+    # A cache written before entries carried a header.
+    path = ResultCache(tmp_path).path_for(key)
+    path.parent.mkdir(parents=True)
+    path.write_bytes(headerless(fresh))
+
+    service = SimulationService(cache_dir=str(tmp_path), jobs=1)
+    thread = ServiceThread(service).start()
+    c = ServiceClient(thread.base_url)
+    try:
+        first = c.get_job(key)
+        second = c.get_job(key)
+    finally:
+        c.close()
+        thread.stop()
+    assert (first["source"], second["source"]) == ("disk", "memory")
+    assert first["digest"] == second["digest"] == reference
+    result = ServiceClient.result_from_envelope(first)  # verifies
+    assert canonical_result_bytes(result) == canonical_result_bytes(fresh)
+    assert is_entry(path.read_bytes())
+    assert service.runner.cache.stats.stores == 1
+
+
 # ----------------------------------------------------------------------
 # Refusals: structured errors on every bad input
 # ----------------------------------------------------------------------
@@ -409,22 +479,6 @@ def test_non_get_on_events_is_405(client):
     assert (error.status, error.code) == (405, "method_not_allowed")
 
 
-def test_digest_memo_is_a_bounded_lru(monkeypatch):
-    from repro.service import app as app_module
-
-    monkeypatch.setattr(app_module, "MAX_DIGEST_MEMO_ENTRIES", 8)
-    service = SimulationService(use_disk=False)
-    try:
-        raw = b'{"kind":"sequential","app":"X","total_cycles":1}'
-        digests = {service.digest_for(f"{i:064x}", raw)
-                   for i in range(32)}
-        assert len(service._digests) <= 8
-        # Evicted keys simply re-digest to the same value.
-        assert digests == {service.digest_for("0" * 64, raw)}
-    finally:
-        service.close()
-
-
 def test_finished_sweeps_are_pruned_but_running_ones_kept(monkeypatch):
     from repro.service import app as app_module
     from repro.service.app import SweepState
@@ -493,3 +547,49 @@ def test_field_bounds_are_enforced():
         with pytest.raises(ServiceError) as info:
             job_from_request(bad)
         assert info.value.status == 400
+
+
+def test_parsed_jobs_key_without_rederiving_the_machine():
+    import dataclasses
+    import hashlib
+    import json
+    import pickle
+
+    from repro.analysis.experiments import FIGURE10_SCHEMES
+    from repro.core.taxonomy import AMM_SCHEMES
+    from repro.workloads.apps import APPLICATION_ORDER
+
+    apps = list(APPLICATION_ORDER)
+    amm = [scheme.name for scheme in AMM_SCHEMES]
+    numa = amm + [scheme.name for scheme in FIGURE10_SCHEMES
+                  if scheme.name not in amm]
+    sweeps = [
+        {"machines": ["numa16"], "schemes": numa + [None], "apps": apps},
+        {"machines": ["cmp8"], "schemes": amm + [None], "apps": apps},
+        {"machines": ["numa16-bigl2"], "schemes": ["MultiT&MV Lazy AMM"],
+         "apps": ["P3m"]},
+    ]
+    jobs = [job for body in sweeps
+            for job in jobs_from_sweep_request({**body, "scale": 0.03})]
+    jobs += [job_from_request({"app": app, "machine": "cmp8",
+                               "scheme": scheme, "scale": 0.03})
+             for scheme in ("MultiT&MV FMM", "MultiT&MV FMM.Sw")
+             for app in apps]
+    keys = set()
+    for job in jobs:
+        unkeyed = pickle.dumps(job)
+        identity = job.identity()
+        identity["machine"] = dataclasses.asdict(job.machine)
+        fresh = hashlib.sha256(
+            json.dumps(identity, sort_keys=True).encode()).hexdigest()
+        assert job.cache_key() == fresh
+        assert pickle.dumps(job) == unkeyed
+        keys.add(fresh)
+    assert len(keys) == len(jobs) == 127
+    # The memo is never handed out: a caller's copy is its own.
+    machine = jobs[0].machine
+    mine = machine.identity()
+    mine["l1"]["size_bytes"] = -1
+    mine["lat_memory_by_hops"].clear()
+    assert machine.identity() == dataclasses.asdict(machine)
+    assert jobs[0].identity()["machine"] == dataclasses.asdict(machine)
