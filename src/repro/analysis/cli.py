@@ -339,14 +339,8 @@ def _run_bench(args: argparse.Namespace) -> int:
         print(f"profile written to {args.profile_output}")
         return 0
     report = run_bench(smoke=args.smoke, jobs=args.jobs, seed=args.seed,
-                       output=args.bench_output,
-                       fleet=args.fleet)
+                       output=args.bench_output)
     print(render_report(report))
-    dispatch = report.get("dispatch")
-    if dispatch is not None and not dispatch["byte_identical"]:
-        print("FAIL: fleet results differ from the serial path",
-              file=sys.stderr)
-        return 1
     if not report["determinism"]["bit_identical"]:
         print("FAIL: results differ across serial/pool/cache-replay",
               file=sys.stderr)
@@ -785,11 +779,6 @@ examples:
     p_bench.add_argument("--check-floor", action="store_true",
                          help="exit non-zero if engine events/sec falls "
                               "below the committed regression floor")
-    p_bench.add_argument("--fleet", type=int, default=0, metavar="N",
-                         help="also measure the fleet dispatcher with N "
-                              "localhost worker subprocesses: serial vs "
-                              "fleet wall-clock + byte-identity on the "
-                              "16-cell grid (the 'dispatch' report block)")
     p_bench.add_argument("--profile", action="store_true",
                          help="skip the bench; cProfile one representative "
                               "cell and write the top-30 cumulative listing")

@@ -10,10 +10,12 @@ The package splits along the wire:
 * :mod:`repro.dist.coordinator` — the asyncio work-queue server
   (:class:`FleetCoordinator`) and its runner-facing adapter
   (:class:`FleetDispatcher`): requeue-on-death, heartbeat eviction,
-  capped backoff, fleet-wide single-compute, digest cross-checks.
+  chunk timeouts, capped backoff, receipt checks and digest
+  cross-checks.
 * :mod:`repro.dist.worker` — the blocking pull/compute/push agent
-  behind ``repro-tls worker --connect``, with cache short-circuiting
-  and graceful SIGTERM drain.
+  behind ``repro-tls worker --connect``: a serial
+  :class:`~repro.runner.runner.SweepRunner` over the worker's cache,
+  with graceful SIGTERM drain.
 
 See ``docs/distributed.md`` for the full protocol and fault contract.
 """

@@ -13,11 +13,15 @@ point, not an afterthought:
   has its chunk requeued with capped exponential backoff. Chunks also
   carry a per-assignment timeout, so a wedged (but chatty) worker
   cannot pin a cell forever.
-* **Identical keys compute once fleet-wide.** The coordinator keys all
-  bookkeeping by the job's content address: if two concurrent sweeps
-  (or a requeue race) want the same cell, one computation feeds every
-  waiter, and late duplicate results are discarded — after the digest
-  cross-check below.
+* **Each key is delivered once.** Every chunk carries the sweep call
+  it serves, and a result is routed through the chunk its worker holds:
+  a result for a key already delivered, or from a worker whose chunk
+  was taken back (a timed-out worker's late envelopes), is discarded as
+  a duplicate — after the checks below. Concurrent callers of one
+  runner already share each computation through its single-flight
+  registry, before any dispatcher sees the key; two runners sharing one
+  coordinator each compute a shared key, and the cross-check compares
+  the two digests.
 * **Silently-divergent fleets are refused.** Every result envelope
   carries a self-verifying cache entry (:mod:`repro.runner.entry`) and
   the canonical-result digest its header stores; workers carry their
@@ -35,8 +39,9 @@ point, not an afterthought:
 the :class:`~repro.dist.dispatch.Dispatcher` protocol over a
 coordinator it owns, so ``SweepRunner(dispatcher=FleetDispatcher(...))``
 swaps multiprocess fan-out for fleet fan-out with no other change —
-results stay bit-identical by construction because workers run the very
-same ``execute_job`` + canonical serialization the serial path runs.
+results stay bit-identical by construction because each worker resolves
+its chunks through a serial :class:`~repro.runner.runner.SweepRunner`,
+whose entries :func:`~repro.runner.runner.compute_entry` builds.
 """
 
 from __future__ import annotations
@@ -113,16 +118,15 @@ class FleetStats:
     chunks_requeued: int = 0
     #: Chunks abandoned after exhausting their attempts.
     chunks_failed: int = 0
-    #: Result envelopes accepted and delivered to waiters.
+    #: Result envelopes accepted and delivered to their calls.
     results_received: int = 0
-    #: Late results for keys that were already delivered (requeue races).
+    #: Checked results no chunk waited on: a key already delivered, or
+    #: a late result from a worker whose chunk was taken back (requeue
+    #: races).
     duplicate_results: int = 0
-    #: Results a worker served from its local cache tier instead of
+    #: Results a worker served from its cache tiers instead of
     #: computing (the warm-key short circuit).
     cache_short_circuits: int = 0
-    #: Keys that joined an already in-flight computation instead of
-    #: dispatching again (fleet-wide single-compute).
-    keys_joined: int = 0
     #: Receipt-check and digest cross-check failures (each one poisons
     #: the coordinator).
     digest_mismatches: int = 0
@@ -139,28 +143,33 @@ class FleetStats:
             "results_received": self.results_received,
             "duplicate_results": self.duplicate_results,
             "cache_short_circuits": self.cache_short_circuits,
-            "keys_joined": self.keys_joined,
             "digest_mismatches": self.digest_mismatches,
         }
 
 
 class _Chunk:
-    """One dispatchable unit of work: a few (key, job) pairs."""
+    """One dispatchable unit of work: a few (key, job) pairs of a call."""
 
-    __slots__ = ("chunk_id", "items", "pending", "attempts",
-                 "assigned_to", "assigned_at", "dead")
+    __slots__ = ("chunk_id", "items", "call", "pending", "attempts",
+                 "assigned_to", "assigned_at")
 
-    def __init__(self, chunk_id: int,
-                 items: list[tuple[str, Any]]) -> None:
+    def __init__(self, chunk_id: int, items: list[tuple[str, Any]],
+                 call: "_ComputeCall") -> None:
         self.chunk_id = chunk_id
         self.items = items
-        #: Keys of this chunk not yet delivered anywhere.
+        #: The ``execute`` call this chunk's results are delivered to.
+        self.call = call
+        #: Keys of this chunk not yet delivered.
         self.pending = {key for key, _job in items}
         self.attempts = 0
         self.assigned_to: "_Worker | None" = None
         self.assigned_at: float | None = None
-        #: Set when the chunk's sweep failed; skipped on dequeue.
-        self.dead = False
+
+    @property
+    def live(self) -> bool:
+        """Whether the chunk still has keys for a call that has not
+        failed (a dead chunk is skipped on dequeue)."""
+        return bool(self.pending) and not self.call.failed
 
 
 class _Worker:
@@ -193,10 +202,12 @@ class _ComputeCall:
     delivering two exceptions.
     """
 
-    __slots__ = ("keys", "queue", "failed")
+    __slots__ = ("outstanding", "queue", "failed")
 
-    def __init__(self, keys: Sequence[str]) -> None:
-        self.keys = list(keys)
+    def __init__(self, outstanding: int) -> None:
+        #: Keys not yet delivered (loop thread); the coordinator drops
+        #: the call when this reaches zero.
+        self.outstanding = outstanding
         self.queue: "queue.Queue[tuple[str, str | None, Any]]" = (
             queue.Queue())
         self.failed = False
@@ -248,10 +259,6 @@ class FleetCoordinator:
         self._workers: dict[str, _Worker] = {}
         self._worker_seq = 0
         self._chunk_seq = 0
-        #: key -> the chunk currently responsible for computing it.
-        self._inflight: dict[str, _Chunk] = {}
-        #: key -> calls waiting on it (possibly from several sweeps).
-        self._waiters: dict[str, list[_ComputeCall]] = {}
         #: Every call with undelivered keys (for poison/stop fan-out).
         self._calls: set[_ComputeCall] = set()
         #: key -> (digest, worker name): the cross-check registry.
@@ -365,9 +372,13 @@ class FleetCoordinator:
         """
         if self._loop is None:
             raise FleetError("fleet coordinator is not started")
-        call = _ComputeCall([key for key, _job in pending])
-        self._loop.call_soon_threadsafe(self._submit, list(pending), call)
-        remaining = set(call.keys)
+        items = dict(pending)
+        if not items:
+            return
+        call = _ComputeCall(len(items))
+        self._loop.call_soon_threadsafe(
+            self._submit, list(items.items()), call)
+        remaining = set(items)
         while remaining:
             try:
                 kind, key, payload = call.queue.get(
@@ -385,29 +396,19 @@ class FleetCoordinator:
     # ------------------------------------------------------------------
     # Loop-thread scheduling
     # ------------------------------------------------------------------
-    def _submit(self, pending: list[tuple[str, Any]],
+    def _submit(self, items: list[tuple[str, Any]],
                 call: _ComputeCall) -> None:
-        """Enqueue a sweep's jobs, joining keys already in flight."""
+        """Enqueue a call's distinct jobs as chunks that carry it."""
         if self._poisoned is not None:
             call.fail(FleetDivergenceError(self._poisoned))
             return
         self._calls.add(call)
-        fresh: list[tuple[str, Any]] = []
-        for key, job in pending:
-            if key in self._inflight:
-                self.stats.keys_joined += 1
-                self._waiters[key].append(call)
-                continue
-            self._waiters.setdefault(key, []).append(call)
-            fresh.append((key, job))
-        for start in range(0, len(fresh), self.chunk_size):
+        assert self._queue is not None
+        for start in range(0, len(items), self.chunk_size):
             self._chunk_seq += 1
-            chunk = _Chunk(self._chunk_seq,
-                           fresh[start:start + self.chunk_size])
-            for key in chunk.pending:
-                self._inflight[key] = chunk
-            assert self._queue is not None
-            self._queue.put_nowait(chunk)
+            self._queue.put_nowait(_Chunk(
+                self._chunk_seq, items[start:start + self.chunk_size],
+                call))
 
     def _backoff_delay(self, attempts: int) -> float:
         """Requeue delay after the ``attempts``-th failed attempt."""
@@ -417,7 +418,7 @@ class FleetCoordinator:
     def _requeue(self, chunk: _Chunk | None, *, penalty: bool,
                  why: str) -> None:
         """Put a chunk back on the queue (or fail it past the cap)."""
-        if chunk is None or chunk.dead or not chunk.pending:
+        if chunk is None or not chunk.live:
             return
         if chunk.assigned_to is not None:
             if chunk.assigned_to.inflight is chunk:
@@ -432,51 +433,37 @@ class FleetCoordinator:
         self.stats.chunks_requeued += 1
         if chunk.attempts >= self.max_attempts:
             self.stats.chunks_failed += 1
-            chunk.dead = True
-            self._fail_keys(
-                chunk.pending,
-                FleetError(
-                    f"chunk {chunk.chunk_id} abandoned after "
-                    f"{chunk.attempts} attempts: {why}"))
+            chunk.call.fail(FleetError(
+                f"chunk {chunk.chunk_id} abandoned after "
+                f"{chunk.attempts} attempts: {why}"))
+            self._calls.discard(chunk.call)
             return
         assert self._loop is not None and self._queue is not None
         self._loop.call_later(self._backoff_delay(chunk.attempts),
                               self._queue.put_nowait, chunk)
 
-    def _fail_keys(self, keys: Sequence[str],
-                   error: BaseException) -> None:
-        """Fail every call waiting on any of ``keys``."""
-        for key in list(keys):
-            chunk = self._inflight.pop(key, None)
-            if chunk is not None:
-                chunk.pending.discard(key)
-            for call in self._waiters.pop(key, ()):  # noqa: B905
-                call.fail(error)
-                self._calls.discard(call)
-
     def _fail_everything(self, error: BaseException) -> None:
-        """Fail all active sweeps (stop or poison)."""
-        for call in list(self._calls):
+        """Fail all active sweeps (stop or poison); their chunks die."""
+        for call in self._calls:
             call.fail(error)
         self._calls.clear()
-        for chunk in self._inflight.values():
-            chunk.dead = True
-        self._inflight.clear()
-        self._waiters.clear()
 
     def _poison(self, reason: str) -> None:
         """Latch a divergence: refuse this fleet now and forever."""
         self._poisoned = reason
         self._fail_everything(FleetDivergenceError(reason))
 
-    def _record_result(self, worker: _Worker, key: str, digest: str,
-                       source: str, zraw: bytes) -> None:
+    def _record_result(self, worker: _Worker, chunk: _Chunk | None,
+                       key: str, digest: str, source: str,
+                       zraw: bytes) -> None:
         """Check, cross-check and deliver one result envelope.
 
         The entry must pass its hash check and its header must carry the
         envelope's digest, or the fleet is poisoned before anything is
         delivered. A poisoned fleet accepts nothing more, so its latched
-        reason stays the first failure.
+        reason stays the first failure. A checked entry is delivered to
+        the call of ``chunk`` (the one its worker held) if that chunk
+        still waits on the key; otherwise it is a duplicate.
         """
         if self._poisoned is not None:
             return
@@ -509,16 +496,16 @@ class FleetCoordinator:
                 self._digests.popitem(last=False)
         if source == "cache":
             self.stats.cache_short_circuits += 1
-        chunk = self._inflight.pop(key, None)
-        if chunk is not None:
-            chunk.pending.discard(key)
-        waiters = self._waiters.pop(key, None)
-        if not waiters:
+        if chunk is None or key not in chunk.pending:
             self.stats.duplicate_results += 1
             return
+        chunk.pending.discard(key)
         self.stats.results_received += 1
-        for call in waiters:
-            call.offer(key, raw)
+        call = chunk.call
+        call.outstanding -= 1
+        if call.outstanding == 0:
+            self._calls.discard(call)
+        call.offer(key, raw)
 
     # ------------------------------------------------------------------
     # Connection handling
@@ -714,25 +701,31 @@ class FleetCoordinator:
 
     def _accept_results(self, worker: _Worker, header: dict[str, Any],
                         blob: bytes) -> None:
-        """Process one ``result`` frame from ``worker``."""
-        chunk = worker.inflight
+        """Process one ``result`` frame from ``worker``.
+
+        The frame answers the chunk the worker holds, which it now
+        releases; a worker whose chunk was taken back (timed out and
+        requeued) holds none, so its envelopes are duplicates.
+        """
         entries = header.get("results")
         if not isinstance(entries, list):
             raise ProtocolError("result frame carries no "
                                 "'results' list")
-        for key, digest, source, zraw in unpack_results(entries, blob):
-            self._record_result(worker, key, digest, source, zraw)
-        if chunk is not None and worker.inflight is chunk:
+        results = unpack_results(entries, blob)
+        chunk = worker.inflight
+        if chunk is not None:
             worker.inflight = None
             chunk.assigned_to = None
             chunk.assigned_at = None
+        for key, digest, source, zraw in results:
+            self._record_result(worker, chunk, key, digest, source, zraw)
 
     async def _next_chunk(self) -> _Chunk:
         """The next live chunk off the ready queue."""
         assert self._queue is not None
         while True:
             chunk = await self._queue.get()
-            if not chunk.dead and chunk.pending:
+            if chunk.live:
                 return chunk
 
     async def _monitor(self) -> None:

@@ -12,15 +12,16 @@ dispatcher decides *where* the compute happens:
 * :class:`~repro.dist.coordinator.FleetDispatcher` — the distributed
   backend: the same zlib-compressed chunks shipped to a fleet of
   remote workers over the TCP work-queue protocol
-  (:mod:`repro.dist.protocol`).
+  (:mod:`repro.dist.protocol`); each worker resolves its chunk through
+  a serial runner, i.e. this module's serial path.
 
 The contract is deliberately the same one the runner's ``_compute``
 always had: ``compute(pending, on_result)`` delivers ``(key, entry)``
 pairs as they land, at most once per key, and each entry is the
 result's self-verifying cache entry (:mod:`repro.runner.entry`), built
-by whoever computed it — so any dispatcher is bit-identical with any
-other by construction, and the runner's cache stores and progress
-streams work unchanged.
+by :func:`~repro.runner.runner.compute_entry` wherever it was computed
+— so any dispatcher is bit-identical with any other by construction,
+and the runner's cache stores and progress streams work unchanged.
 """
 
 from __future__ import annotations
@@ -42,8 +43,7 @@ class Dispatcher(Protocol):
 
     Implementations must call ``on_result`` at most once per distinct
     key, from the calling thread, with the *uncompressed* cache entry —
-    the same bytes :func:`repro.runner.entry.encode_entry` of
-    :func:`repro.runner.runner.payload_from_result` produces in-process.
+    the bytes :func:`repro.runner.runner.compute_entry` builds.
     """
 
     def compute(self, pending: PendingJobs,
@@ -117,12 +117,7 @@ class LocalPoolDispatcher:
         by ``on_result`` itself propagates unchanged; it is never taken
         for a pool failure.
         """
-        from repro.runner.entry import encode_entry
-        from repro.runner.runner import (
-            _worker_chunk,
-            execute_job,
-            payload_from_result,
-        )
+        from repro.runner.runner import _worker_chunk, compute_entry
 
         delivered: set[str] = set()
 
@@ -160,6 +155,4 @@ class LocalPoolDispatcher:
         for key, job in pending:
             if key in delivered:
                 continue
-            _deliver(
-                key, encode_entry(payload_from_result(execute_job(job)))
-            )
+            _deliver(key, compute_entry(job))

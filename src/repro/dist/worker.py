@@ -4,12 +4,15 @@
 deliberately a page of blocking socket code. It connects to a
 coordinator, registers with its :func:`~repro.dist.protocol.\
 worker_fingerprint` (refused outright on an engine-version mismatch),
-then loops: ``pull`` a chunk, execute each job through *exactly* the
-pipeline the in-process pool path uses (``execute_job`` →
-``payload_from_result`` → :func:`~repro.runner.entry.encode_entry`),
-and push one ``result`` frame of per-job envelopes. Bit-identity across
-hosts is therefore by construction, and each envelope's canonical digest
-— the one its entry's header stores — lets the coordinator prove it
+then loops: ``pull`` a chunk, resolve it through one serial
+:class:`~repro.runner.runner.SweepRunner` the agent keeps for its whole
+life, and push one ``result`` frame of per-job envelopes. The worker is
+that runner, not a mirror of one: its cache rules (the checked read,
+the store, "a full disk means computed, not cached") are the runner's
+own, and its entries come from the serial path's
+:func:`~repro.runner.runner.compute_entry`. Bit-identity across hosts is
+therefore by construction, and each envelope's canonical digest — the
+one its entry's header stores — lets the coordinator prove it
 (:meth:`FleetCoordinator._record_result
 <repro.dist.coordinator.FleetCoordinator>` receipt check and
 cross-check).
@@ -17,11 +20,10 @@ cross-check).
 Two behaviors make the fleet a cache *extension* rather than a cache
 bypass:
 
-* **Warm-key short circuit** — a worker given a shared cache directory
-  answers warm keys straight from the sharded
-  :class:`~repro.runner.cache.ResultCache` (envelope ``source:
-  "cache"``) and stores fresh results back, so a fleet sweep leaves the
-  same artifacts a local sweep would.
+* **Warm-key short circuit** — a key the runner's memory tier or the
+  worker's shared cache directory already holds is answered from it
+  (envelope ``source: "cache"``), and fresh results are stored back, so
+  a fleet sweep leaves the same artifacts a local sweep would.
 * **Graceful drain** — ``SIGTERM`` (or :meth:`WorkerAgent.request_drain`)
   lets the current chunk finish, sends ``bye`` so in-flight work is
   requeued penalty-free, and exits cleanly.
@@ -53,6 +55,8 @@ from repro.dist.protocol import (
 )
 from repro.errors import ReproError
 from repro.runner.cache import ResultCache
+from repro.runner.entry import entry_digest
+from repro.runner.runner import SweepRunner
 
 #: How often a blocked ``recv`` wakes up to poll the drain flag.
 IDLE_TICK_SECONDS = 0.25
@@ -75,8 +79,9 @@ class WorkerAgent:
     """One fleet worker: a blocking pull/compute/push loop.
 
     ``cache`` (a :class:`~repro.runner.cache.ResultCache` or ``None``)
-    enables the warm-key short circuit. The fault-injection knobs exist
-    for tests: ``fail_after_chunks=N`` drops the connection abruptly
+    is the shared tier of the agent's serial runner, behind its memory
+    tier. The fault-injection knobs exist for tests:
+    ``fail_after_chunks=N`` drops the connection abruptly
     when handed chunk ``N+1`` (a crash mid-sweep), ``forge_digest``
     reports a bogus canonical digest on every envelope (a divergent
     host), and ``stall_after_pull`` goes completely silent — no
@@ -93,6 +98,8 @@ class WorkerAgent:
                  stall_seconds: float = 3600.0) -> None:
         self.host, self.port = parse_address(address)
         self.cache = cache
+        #: Resolves every chunk: memory tier, ``cache``, serial compute.
+        self.runner = SweepRunner(jobs=1, cache=cache)
         self.connect_timeout = connect_timeout
         self.fail_after_chunks = fail_after_chunks
         self.forge_digest = forge_digest
@@ -181,45 +188,26 @@ class WorkerAgent:
     # ------------------------------------------------------------------
     def _execute_chunk(
             self, jobs: list[Any]) -> list[tuple[str, str, str, bytes]]:
-        """Run one chunk's jobs; returns result envelopes to pack.
+        """Resolve one chunk through the runner; returns its envelopes.
 
-        Every job resolves through the cache first (``source: "cache"``)
-        and stores its freshly computed entry back, so the fleet and the
-        local pool leave identical cache artifacts. The runner's read
-        rule (:func:`~repro.runner.runner.read_entry`) holds here too:
-        an entry that fails its hash check or does not decode is a miss,
-        computed and overwritten, and a store that fails (full disk) is
-        "computed, not cached", counted in ``cache.stats.store_errors``.
+        A key the runner's memory tier or shared cache answers is sent
+        with ``source: "cache"``, a computed one with ``"computed"``.
         Each envelope's digest is the one in its entry's header.
         """
-        from repro.runner.entry import encode_entry, entry_digest
-        from repro.runner.runner import (
-            execute_job,
-            payload_from_result,
-            read_entry,
-        )
-
+        cells = {job.cache_key(): job for job in jobs}
+        resolved = self.runner.resolve_raw(cells)
         envelopes: list[tuple[str, str, str, bytes]] = []
-        for job in jobs:
-            key = job.cache_key()
-            hit = (self.cache.load_checked(key, read_entry)
-                   if self.cache is not None else None)
-            if hit is not None:
+        for key in cells:
+            hit = resolved[key]
+            source = "computed"
+            if hit.source in ("memory", "disk"):
                 source = "cache"
-                raw = hit[0]
                 self.cache_hits += 1
-            else:
-                source = "computed"
-                raw = encode_entry(payload_from_result(execute_job(job)))
-                if self.cache is not None:
-                    try:
-                        self.cache.store_raw(key, raw)
-                    except OSError:
-                        self.cache.stats.store_errors += 1
             digest = ("0" * 64 if self.forge_digest
-                      else entry_digest(raw))
-            envelopes.append((key, digest, source, zlib.compress(raw, 1)))
-            self.jobs_done += 1
+                      else entry_digest(hit.raw))
+            envelopes.append(
+                (key, digest, source, zlib.compress(hit.raw, 1)))
+        self.jobs_done += len(cells)
         return envelopes
 
     def run(self) -> dict[str, Any]:
@@ -321,8 +309,8 @@ def spawn_local_workers(address: str, count: int, *,
                         ) -> list[subprocess.Popen]:
     """Launch ``count`` worker subprocesses against a coordinator.
 
-    The one-command localhost-fleet path (``repro-tls sweep --dispatch
-    fleet --workers N`` and the dispatch bench) uses this: each worker
+    The one-command localhost-fleet paths (``repro-tls sweep --dispatch
+    fleet --workers N`` and ``serve --dispatch fleet``) use this: each worker
     is a real ``repro-tls worker --connect`` process, so the measurement
     and fault behavior match a genuinely remote fleet. The caller owns
     the returned handles (terminate → graceful drain via ``SIGTERM``).

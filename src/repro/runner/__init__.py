@@ -11,7 +11,6 @@ from repro.runner.cache import (
     CACHE_ENV_VAR,
     DEFAULT_CACHE_DIR,
     SHARD_PREFIX_LEN,
-    CacheBackend,
     CacheStats,
     DirectoryBackend,
     MemoryResultCache,
@@ -36,7 +35,6 @@ from repro.runner.singleflight import SingleFlight, SingleFlightStats
 
 __all__ = [
     "CACHE_ENV_VAR",
-    "CacheBackend",
     "CacheStats",
     "DEFAULT_CACHE_DIR",
     "DEFAULT_CHUNK_SIZE",

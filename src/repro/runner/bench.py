@@ -148,8 +148,7 @@ def run_sweep_bench(scale: float = 1.0, seed: int = 0,
     if parallel_cold is None:
         report["parallel_note"] = (
             f"parallel sweep skipped: effective pool width {pool_width} < 2 "
-            f"(cpu_count={os.cpu_count()}); the 'dispatch' block (bench "
-            "--fleet N) measures multi-worker dispatch even on one CPU"
+            f"(cpu_count={os.cpu_count()})"
         )
     if scale == 1.0:
         report["seed_serial_seconds"] = SEED_SWEEP_SECONDS
@@ -199,66 +198,6 @@ def check_determinism(scale: float = 0.25, seed: int = 0) -> dict[str, Any]:
         "bit_identical":
             canonical_result_bytes(pooled) == reference
             and canonical_result_bytes(replayed) == reference,
-    }
-
-
-def run_dispatch_bench(workers: int = 2, scale: float = 0.1,
-                       seed: int = 0) -> dict[str, Any]:
-    """Serial vs fleet dispatch on the 16-cell machine x scheme grid.
-
-    Runs Euler under all 8 evaluated schemes on both machine presets
-    (CC-NUMA-16 and CMP-8) twice: serially in-process, then through a
-    :class:`~repro.dist.coordinator.FleetDispatcher` backed by
-    ``workers`` localhost worker *subprocesses* — real ``repro-tls
-    worker`` agents over TCP, so the number reflects genuine dispatch
-    overhead (and genuine overlap, when the host has the cores). Every
-    cell's canonical serialization is byte-compared across the legs;
-    ``byte_identical`` is the fleet's CI gate. Unlike the pool leg of
-    :func:`run_sweep_bench`, this works on a 1-CPU runner: the workers
-    are independent processes the OS can timeshare.
-    """
-    from repro.analysis.serialization import canonical_result_bytes
-    from repro.core.config import CMP_8, NUMA_16
-    from repro.core.taxonomy import EVALUATED_SCHEMES
-    from repro.dist import FleetDispatcher
-    from repro.runner.jobs import SimJob, WorkloadSpec
-    from repro.runner.runner import SweepRunner
-
-    workers = max(2, workers)
-    jobs = SimJob.grid(
-        [NUMA_16, CMP_8], EVALUATED_SCHEMES,
-        [WorkloadSpec("Euler", seed=seed, scale=scale)])
-    started = time.perf_counter()
-    serial_results = SweepRunner(jobs=1, cache=None).run_many(jobs)
-    serial_seconds = time.perf_counter() - started
-    serial_bytes = [canonical_result_bytes(r) for r in serial_results]
-
-    with tempfile.TemporaryDirectory(prefix="repro-fleet-") as tmp:
-        dispatcher = FleetDispatcher(
-            min_workers=workers, local_workers=workers,
-            worker_cache_dir=tmp)
-        try:
-            dispatcher.start()
-            runner = SweepRunner(cache=None, dispatcher=dispatcher)
-            started = time.perf_counter()
-            fleet_results = runner.run_many(jobs)
-            fleet_seconds = time.perf_counter() - started
-            stats = dispatcher.stats_dict()
-            backend = dispatcher.describe()
-        finally:
-            dispatcher.stop()
-    fleet_bytes = [canonical_result_bytes(r) for r in fleet_results]
-    return {
-        "backend": backend,
-        "workers": workers,
-        "cells": len(jobs),
-        "scale": scale,
-        "serial_seconds": round(serial_seconds, 3),
-        "fleet_seconds": round(fleet_seconds, 3),
-        "speedup_fleet_vs_serial": round(
-            serial_seconds / fleet_seconds, 2) if fleet_seconds else None,
-        "byte_identical": serial_bytes == fleet_bytes,
-        "fleet": stats,
     }
 
 
@@ -326,7 +265,6 @@ def profile_engine(output: str | Path = DEFAULT_PROFILE_PATH,
 def run_bench(smoke: bool = False, jobs: int | None = None,
               seed: int = 0,
               output: str | Path | None = "BENCH_sweep.json",
-              fleet: int = 0,
               ) -> dict[str, Any]:
     """Full perf harness; writes the JSON report to ``output``.
 
@@ -335,11 +273,6 @@ def run_bench(smoke: bool = False, jobs: int | None = None,
     under 30 seconds; the numbers are then only sanity checks, not
     comparable to the seed baselines (the floor check still applies:
     events/second is roughly scale-independent).
-
-    ``fleet=N`` (N >= 2) adds a ``dispatch`` section: the 16-cell grid
-    run serially and through a fleet of N localhost worker
-    subprocesses, with wall-clock for both legs and a byte-identity
-    verdict (see :func:`run_dispatch_bench`).
     """
     scale = 0.1 if smoke else 1.0
     engine = run_engine_bench(scale=scale, seed=seed)
@@ -353,9 +286,6 @@ def run_bench(smoke: bool = False, jobs: int | None = None,
         "determinism": check_determinism(
             scale=0.1 if smoke else 0.25, seed=seed),
     }
-    if fleet >= 2:
-        report["dispatch"] = run_dispatch_bench(
-            workers=fleet, scale=scale, seed=seed)
     if output is not None:
         path = Path(output)
         path.write_text(json.dumps(report, indent=2) + "\n")
@@ -398,16 +328,6 @@ def render_report(report: dict[str, Any]) -> str:
             f"  floor  : {floor['measured_events_per_second']:,.0f} ev/s vs "
             f"committed floor {floor['floor_events_per_second']:,.0f} ev/s: "
             + ("pass" if floor["passed"] else "FAIL (perf regression!)"))
-    if "dispatch" in report:
-        dispatch = report["dispatch"]
-        lines.append(
-            f"  fleet  : {dispatch['cells']} cells serial "
-            f"{dispatch['serial_seconds']:7.2f}s | "
-            f"{dispatch['workers']} workers "
-            f"{dispatch['fleet_seconds']:7.2f}s "
-            f"({dispatch['speedup_fleet_vs_serial']:.2f}x) | "
-            + ("byte-identical" if dispatch["byte_identical"]
-               else "MISMATCH (fleet divergence!)"))
     lines.append(
         "  determinism: "
         + ("bit-identical across serial/pool/cache-replay"

@@ -14,15 +14,15 @@ The stack is layered:
   splices into its responses. A consumer that needs the result object
   decodes its own copy, so no two callers share a mutable result.
 * :class:`ShardedResultCache` — the shared tier: payload-level
-  load/store semantics over a pluggable :class:`CacheBackend` byte
-  store. The default :class:`DirectoryBackend` shards entries into
-  2-hex-prefix subdirectories (256 shards) with atomic writes, so
-  concurrent sweep workers, multiple service frontends, and unrelated
-  processes can all share one cache directory (local or NFS) safely; an
-  entry that fails its check is treated as a miss and overwritten
-  (:meth:`ShardedResultCache.load_checked`).
-  Alternative backends (an object store, a remote cache daemon) only
-  need the four :class:`CacheBackend` methods.
+  load/store semantics over a pluggable byte-store backend. The default
+  :class:`DirectoryBackend` shards entries into 2-hex-prefix
+  subdirectories (256 shards) with atomic writes, so concurrent sweep
+  workers, multiple service frontends, and unrelated processes can all
+  share one cache directory (local or NFS) safely; an entry that fails
+  its check is treated as a miss and overwritten
+  (:meth:`ShardedResultCache.load_checked`). Alternative backends (an
+  object store, a remote cache daemon) only need the four methods
+  :class:`ShardedResultCache` documents.
 * :class:`ResultCache` — the historical name for the directory-backed
   shared tier; now a thin :class:`ShardedResultCache` subclass kept for
   compatibility (``root``/``path_for`` preserved).
@@ -37,9 +37,9 @@ import tempfile
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable
 
-from repro.runner.entry import check_entry, entry_body, is_entry
+from repro.runner.entry import check_entry, encode_entry, entry_body, is_entry
 
 #: Environment variable overriding the default cache location.
 CACHE_ENV_VAR = "REPRO_TLS_CACHE"
@@ -153,42 +153,10 @@ class MemoryResultCache:
 
 
 # ----------------------------------------------------------------------
-# Pluggable shared-tier backends
+# Shared-tier backends
 # ----------------------------------------------------------------------
-@runtime_checkable
-class CacheBackend(Protocol):
-    """Byte-store protocol behind :class:`ShardedResultCache`.
-
-    A backend maps content-address keys to opaque byte blobs. The
-    contract is deliberately small so a shared tier can be anything —
-    the default local/NFS directory layout, an object store, a remote
-    cache daemon — as long as:
-
-    * ``put`` is atomic per key (readers never observe a torn write);
-    * ``get`` returns ``None`` for anything absent or unreadable; and
-    * keys are opaque hex strings (backends may shard on
-      :func:`shard_of` but must not otherwise interpret them).
-    """
-
-    def get(self, key: str) -> bytes | None:
-        """The stored bytes for ``key``, or ``None`` on a miss."""
-        ...
-
-    def put(self, key: str, raw: bytes) -> None:
-        """Atomically persist ``raw`` under ``key`` (overwrite allowed)."""
-        ...
-
-    def keys(self) -> Iterable[str]:
-        """Every stored key (order unspecified)."""
-        ...
-
-    def delete(self, key: str) -> bool:
-        """Remove ``key`` if present; returns whether it existed."""
-        ...
-
-
 class DirectoryBackend:
-    """The default :class:`CacheBackend`: a 2-hex-prefix sharded directory.
+    """The default shared-tier backend: a 2-hex-prefix sharded directory.
 
     Entry ``<key>`` lives at ``<root>/<key[:2]>/<key>.json``; 256 shard
     subdirectories keep listings fast at corpus scale, and the layout is
@@ -268,9 +236,17 @@ class ShardedResultCache:
     (:meth:`load`/:meth:`store`). An entry that fails its check is a
     miss; the next store overwrites it. All hit/miss/store accounting
     lives here, backend-independent.
+
+    ``backend`` is any object with the four methods of
+    :class:`DirectoryBackend` — ``get(key)``, ``put(key, raw)``,
+    ``keys()`` and ``delete(key)`` — under three rules: ``put`` is
+    atomic per key (readers never observe a torn write); ``get``
+    returns ``None`` for an entry that is missing or unreadable; and
+    keys are opaque hex strings (a backend may shard on
+    :func:`shard_of` but must not otherwise interpret them).
     """
 
-    def __init__(self, backend: CacheBackend) -> None:
+    def __init__(self, backend: Any) -> None:
         self.backend = backend
         self.stats = CacheStats()
 
@@ -317,8 +293,8 @@ class ShardedResultCache:
         """The decoded payload for ``key``; bytes that do not check or
         parse into a JSON object are a miss.
 
-        Reads an entry's whole body, and a plain JSON payload (what
-        :meth:`store` writes) as it is.
+        Reads an entry's whole body, and a plain JSON payload (the
+        format before entries carried a header) as it is.
         """
         raw = self.backend.get(key)
         payload = None
@@ -337,14 +313,9 @@ class ShardedResultCache:
         return None
 
     def store(self, key: str, payload: dict[str, Any]) -> None:
-        """Atomically persist ``payload`` under ``key`` as plain JSON.
-
-        The sweep runner reads such an entry as one in the format before
-        entries carried a header, and upgrades it on its first read.
-        """
-        self.store_raw(
-            key, json.dumps(payload, separators=(",", ":")).encode()
-        )
+        """Atomically persist ``payload`` under ``key`` as an entry
+        (:func:`~repro.runner.entry.encode_entry`)."""
+        self.store_raw(key, encode_entry(payload))
 
     def store_raw(self, key: str, raw: bytes) -> None:
         """Atomically persist the entry ``raw`` under ``key``.

@@ -189,8 +189,8 @@ def read_entry(
     An entry must pass its hash check and its summary must decode;
     anything else raises, which
     :meth:`~repro.runner.cache.ShardedResultCache.load_checked` counts
-    as a miss. Used by :meth:`SweepRunner.lookup` and the fleet worker's
-    warm-key read alike.
+    as a miss. Used by :meth:`SweepRunner.lookup`, which the fleet
+    worker resolves its chunks through.
     """
     if not is_entry(raw):
         # A headerless entry was written before entries carried a header
@@ -227,6 +227,17 @@ def canonical_payload_digest(raw: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def compute_entry(job: SimJob) -> bytes:
+    """Run ``job`` and build its cache entry (:mod:`repro.runner.entry`).
+
+    Every producer builds its entries here — the pool chunk, the serial
+    path, and through it the fleet worker — so the entry (and the
+    canonical digest its header stores) is made the same way wherever a
+    result is computed.
+    """
+    return encode_entry(payload_from_result(execute_job(job)))
+
+
 def _worker_chunk(jobs: Sequence[SimJob]) -> list[tuple[str, bytes]]:
     """Pool entry point: execute a chunk of jobs in one task.
 
@@ -236,15 +247,8 @@ def _worker_chunk(jobs: Sequence[SimJob]) -> list[tuple[str, bytes]]:
     here, in the worker process, and the chunking amortizes task
     dispatch overhead across several simulations.
     """
-    return [
-        (
-            job.cache_key(),
-            zlib.compress(
-                encode_entry(payload_from_result(execute_job(job))), 1
-            ),
-        )
-        for job in jobs
-    ]
+    return [(job.cache_key(), zlib.compress(compute_entry(job), 1))
+            for job in jobs]
 
 
 def default_jobs() -> int:

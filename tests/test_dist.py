@@ -7,7 +7,9 @@ The contracts under test, in roughly the order the ISSUE states them:
   runner's default and delivers at most once per key;
 * fleet-vs-serial byte-identity on the 16-cell machine x scheme grid,
   including with one worker killed mid-sweep (requeue + retry);
-* heartbeat-timeout eviction of a silently wedged worker;
+* heartbeat-timeout eviction of a silently wedged worker, and a chunk
+  timeout on a live worker whose late envelopes count as duplicates;
+* a coordinator keeps no state for a sweep once it is delivered;
 * digest-mismatch refusal: a forged worker envelope poisons the fleet,
   which then refuses all further work;
 * registration refusal of engine/protocol-version mismatches;
@@ -21,6 +23,7 @@ drives the CLI with genuine worker subprocesses.
 """
 
 import errno
+import itertools
 import socket
 import struct
 import threading
@@ -279,6 +282,57 @@ def test_heartbeat_timeout_evicts_a_wedged_worker():
         dispatcher.stop()
 
 
+def test_chunk_timeout_requeues_and_late_envelopes_are_duplicates(
+        monkeypatch):
+    import repro.runner.runner as runner_mod
+
+    dispatcher = FleetDispatcher(
+        min_workers=2, start_timeout=10, result_timeout=60,
+        backoff_base=0.05, backoff_cap=0.2, chunk_size=2,
+        chunk_timeout=0.5)
+    jobs = _grid(machines=(NUMA_16,), n_schemes=4, seed=24)
+    reference = _serial_bytes(jobs)
+    # Only the first computation sleeps past the chunk timeout; the
+    # heartbeat thread keeps its agent alive, so the chunk is taken back
+    # on the timeout, not on an eviction.
+    real_execute = runner_mod.execute_job
+    calls = itertools.count()
+
+    def slow_first(job):
+        if next(calls) == 0:
+            time.sleep(1.5)
+        return real_execute(job)
+
+    monkeypatch.setattr(runner_mod, "execute_job", slow_first)
+    dispatcher.start()
+    try:
+        agents = [_start_agent(dispatcher) for _ in range(2)]
+        _wait_workers(dispatcher, 2)
+        results = SweepRunner(
+            cache=None, dispatcher=dispatcher).run_many(jobs)
+        assert [canonical_result_bytes(r) for r in results] == reference
+        stats = dispatcher.stats
+        assert stats.chunks_requeued == 1
+        assert stats.workers_lost == 0
+        assert stats.results_received == len(jobs)  # each key once
+        # The slow agent's late envelopes pass the receipt check and the
+        # cross-check, then count as duplicates of the delivered keys.
+        deadline = time.monotonic() + 10
+        while (stats.duplicate_results < 2
+               and time.monotonic() < deadline):
+            time.sleep(0.02)
+        assert stats.duplicate_results == 2
+        assert stats.digest_mismatches == 0
+        assert dispatcher.coordinator.poisoned is None
+        assert stats.results_received == len(jobs)
+        for agent, thread in agents:
+            agent.request_drain()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+    finally:
+        dispatcher.stop()
+
+
 def test_chunk_abandoned_after_max_attempts_fails_the_sweep():
     dispatcher = FleetDispatcher(
         min_workers=1, start_timeout=10, result_timeout=60,
@@ -335,15 +389,16 @@ def test_forged_digest_poisons_the_fleet(fleet, tmp_path):
 
 def test_self_consistent_wrong_entry_is_caught_by_the_cross_check(
         fleet, monkeypatch):
-    import repro.runner.entry as entry_mod
+    import repro.runner.runner as runner_mod
 
     jobs = _grid(machines=(NUMA_16,), n_schemes=2, seed=18)
     # Sweep 1: a worker builds well-formed wrong entries whose headers
     # carry their own (wrong) digests. They pass the receipt check;
-    # the registry records their digests.
-    real_encode = entry_mod.encode_entry
+    # the registry records their digests. (Every producer encodes
+    # through runner.compute_entry, which calls this module global.)
+    real_encode = runner_mod.encode_entry
     monkeypatch.setattr(
-        entry_mod, "encode_entry",
+        runner_mod, "encode_entry",
         lambda payload: real_encode(
             {**payload, "total_cycles": payload["total_cycles"] + 1}))
     liar, liar_thread = _start_agent(fleet)
@@ -351,7 +406,7 @@ def test_self_consistent_wrong_entry_is_caught_by_the_cross_check(
     SweepRunner(cache=None, dispatcher=fleet).run_many(jobs)
     liar.request_drain()
     liar_thread.join(timeout=10)
-    monkeypatch.setattr(entry_mod, "encode_entry", real_encode)
+    monkeypatch.setattr(runner_mod, "encode_entry", real_encode)
     # Sweep 2: an honest worker recomputes the same cells; its digests
     # disagree with the registry — the fleet is refused.
     honest, honest_thread = _start_agent(fleet)
@@ -525,38 +580,24 @@ def test_idle_worker_drains_gracefully(fleet):
     assert fleet.coordinator.worker_count == 0
 
 
-def test_fleet_wide_single_compute_joins_inflight_keys(fleet):
-    """Two concurrent sweeps over the same cells compute each cell once."""
-    jobs = _grid(machines=(NUMA_16,), n_schemes=4, seed=18)
+def test_coordinator_drops_each_call_once_its_keys_are_delivered(fleet):
+    # A long-lived coordinator (``serve --dispatch fleet``) must not
+    # grow with the sweeps it has served: once a call's last key is
+    # delivered, the coordinator holds no per-call or per-chunk state.
     agent, thread = _start_agent(fleet)
     _wait_workers(fleet, 1)
-    outcomes = []
-
-    def sweep():
-        runner = SweepRunner(cache=None, dispatcher=fleet)
-        outcomes.append(runner.run_many(jobs))
-
-    first = threading.Thread(target=sweep)
-    first.start()
-    # Wait until the first sweep's (single) chunk is on the wire, then
-    # submit the identical keys from a second runner: they must join the
-    # inflight computation rather than dispatch a second chunk.
-    deadline = time.monotonic() + 10
-    while (fleet.stats.chunks_dispatched < 1
-           and time.monotonic() < deadline):
-        time.sleep(0.01)
-    assert fleet.stats.chunks_dispatched >= 1
-    sweep()
-    first.join(timeout=120)
-    assert len(outcomes) == 2
-    a, b = outcomes
-    assert ([canonical_result_bytes(r) for r in a]
-            == [canonical_result_bytes(r) for r in b])
-    # Each key computed once fleet-wide.
-    assert fleet.stats.keys_joined == len(jobs)
-    assert agent.jobs_done == len(jobs)
+    coordinator = fleet.coordinator
+    runner = SweepRunner(cache=None, dispatcher=fleet)
+    for seed in (31, 32, 33):
+        runner.run_many(_grid(machines=(NUMA_16,), n_schemes=2, seed=seed))
+        assert coordinator._calls == set()
+        assert all(worker.inflight is None
+                   for worker in coordinator._workers.values())
+        assert coordinator._queue.empty()
+    assert fleet.stats.results_received == 6
     agent.request_drain()
     thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 # ----------------------------------------------------------------------

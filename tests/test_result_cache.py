@@ -6,8 +6,8 @@ Contracts under test (see ``repro.runner.cache``):
   contract (a warm directory must survive releases and be mountable
   behind many frontends);
 * :class:`ShardedResultCache` speaks payload semantics over *any*
-  :class:`CacheBackend` (a four-method byte store), not just the
-  directory backend; and
+  four-method byte store (duck-typed), not just the directory backend;
+  and
 * a result is bit-identical no matter which tier replays it.
 """
 
@@ -19,7 +19,6 @@ from repro.core.config import NUMA_16
 from repro.core.taxonomy import MULTI_T_MV_LAZY
 from repro.analysis.serialization import canonical_result_bytes
 from repro.runner import (
-    CacheBackend,
     DirectoryBackend,
     MemoryResultCache,
     ResultCache,
@@ -107,7 +106,7 @@ def test_directory_backend_get_put_delete(tmp_path):
 # Pluggable backends
 # ----------------------------------------------------------------------
 class DictBackend:
-    """A minimal in-memory CacheBackend (what a remote store would be)."""
+    """A minimal in-memory backend (what a remote store would be)."""
 
     def __init__(self):
         self.blobs = {}
@@ -123,12 +122,6 @@ class DictBackend:
 
     def delete(self, key):
         return self.blobs.pop(key, None) is not None
-
-
-def test_backend_protocol_is_runtime_checkable(tmp_path):
-    assert isinstance(DictBackend(), CacheBackend)
-    assert isinstance(DirectoryBackend(tmp_path), CacheBackend)
-    assert not isinstance(object(), CacheBackend)
 
 
 def test_sharded_cache_over_a_dict_backend():
@@ -380,11 +373,23 @@ def test_concurrent_writers_never_expose_a_torn_entry(tmp_path):
 
 
 def test_raw_and_decoded_paths_see_the_same_payload(tmp_path):
+    from repro.runner.entry import check_entry, entry_body
+
     cache = ResultCache(tmp_path)
     key = "ee" + "0" * 62
     payload = {"kind": "demo", "values": [1, 2, 3]}
     cache.store(key, payload)
-    assert json.loads(cache.load_raw(key)) == payload
+    raw = cache.load_raw(key)
+    check_entry(raw)
+    assert json.loads(bytes(entry_body(raw))) == payload
+    assert cache.load(key) == payload
+
+
+def test_decoded_path_still_reads_a_headerless_payload(tmp_path):
+    cache = ResultCache(tmp_path)
+    key = "ed" + "0" * 62
+    payload = {"kind": "demo", "values": [4]}
+    cache.store_raw(key, json.dumps(payload).encode())
     assert cache.load(key) == payload
 
 
