@@ -196,9 +196,8 @@ def _run_sweep(args: argparse.Namespace) -> int:
         cache = None if args.no_cache else ResultCache()
         dispatcher = None
         if args.dispatch == "fleet":
-            dispatcher = _make_fleet_dispatcher(
-                args.fleet_bind, args.workers,
-                str(cache.root) if cache is not None else None)
+            dispatcher = _make_fleet_dispatcher(args.fleet_bind,
+                                                args.workers)
             print(f"fleet coordinator on {dispatcher.address} "
                   f"({args.workers} local workers)")
         runner = SweepRunner(jobs=args.jobs, cache=cache,
@@ -239,19 +238,19 @@ def _run_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_fleet_dispatcher(bind: str, workers: int,
-                           cache_dir: "str | None") -> "object":
+def _make_fleet_dispatcher(bind: str, workers: int) -> "object":
     """Start a coordinator + N localhost worker subprocesses.
 
-    The workers share ``cache_dir`` (when caching is on), so a fleet
-    sweep warms the same sharded tier a local sweep would.
+    The workers keep no disk tier: the runner behind the dispatcher
+    checks its own tiers before a key reaches the fleet and stores each
+    landed entry once, so a fleet sweep warms the same sharded tier a
+    local sweep would, writing each computed cell once.
     """
     from repro.dist import FleetDispatcher, parse_address
 
     host, port = parse_address(bind)
     dispatcher = FleetDispatcher(
-        host, port, min_workers=max(1, workers), local_workers=workers,
-        worker_cache_dir=cache_dir)
+        host, port, min_workers=max(1, workers), local_workers=workers)
     return dispatcher.start()
 
 
@@ -262,9 +261,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 
     dispatcher = None
     if args.dispatch == "fleet":
-        dispatcher = _make_fleet_dispatcher(
-            args.fleet_bind, args.fleet_workers,
-            None if args.no_cache else args.cache_dir)
+        dispatcher = _make_fleet_dispatcher(args.fleet_bind,
+                                            args.fleet_workers)
         print(f"fleet coordinator on {dispatcher.address} "
               f"({args.fleet_workers} local workers)")
     service = SimulationService(

@@ -775,7 +775,9 @@ class FleetDispatcher:
     Owns a :class:`FleetCoordinator` (started lazily on first use) and,
     optionally, a set of locally spawned worker subprocesses — the
     one-command path ``repro-tls sweep --dispatch fleet --workers N``
-    and the bench harness use. ``compute`` blocks until the fleet has
+    and the bench harness use. Local workers take ``worker_cache_dir``
+    as their disk tier; with none they keep no cache, and the runner's
+    tiers store each entry once. ``compute`` blocks until the fleet has
     delivered every entry, each checked on receipt (its hash, and the
     envelope's digest against its header's) before the runner's cache
     tiers store it.

@@ -10,6 +10,15 @@ deliberately tiny so a worker can be implemented in a page of blocking
 socket code (:mod:`repro.dist.worker`) and the coordinator in one
 asyncio handler (:mod:`repro.dist.coordinator`).
 
+Transport rule: every TCP endpoint the program opens has Nagle off
+(``TCP_NODELAY``), so each frame leaves as soon as it is written. A
+worker writes a ``result`` and then a small ``pull`` it waits on; with
+Nagle on, that ``pull`` sat until the coordinator's delayed ACK, about
+40 ms a chunk. The coordinator's asyncio transports disable Nagle
+themselves, the worker does in ``WorkerAgent._connect``
+(:mod:`repro.dist.worker`), and so do the service's asyncio server and
+``ServiceClient``'s ``http.client`` connection.
+
 Frame types (full contract in ``docs/distributed.md``):
 
 ===============  =========  ===========================================

@@ -21,9 +21,13 @@ Two behaviors make the fleet a cache *extension* rather than a cache
 bypass:
 
 * **Warm-key short circuit** — a key the runner's memory tier or the
-  worker's shared cache directory already holds is answered from it
-  (envelope ``source: "cache"``), and fresh results are stored back, so
-  a fleet sweep leaves the same artifacts a local sweep would.
+  worker's cache directory already holds is answered from it (envelope
+  ``source: "cache"``), and fresh results are stored into that
+  directory. A worker started by hand with ``--cache-dir`` warms that
+  tier; local workers from :func:`spawn_local_workers` keep none by
+  default, because the runner behind the coordinator stores every
+  entry that lands, so a fleet sweep leaves the same artifacts a local
+  sweep would.
 * **Graceful drain** — ``SIGTERM`` (or :meth:`WorkerAgent.request_drain`)
   lets the current chunk finish, sends ``bye`` so in-flight work is
   requeued penalty-free, and exits cleanly.
@@ -35,6 +39,7 @@ worker, a divergent worker, and a silently wedged worker.
 
 from __future__ import annotations
 
+import errno
 import signal
 import socket
 import subprocess
@@ -80,7 +85,11 @@ class WorkerAgent:
 
     ``cache`` (a :class:`~repro.runner.cache.ResultCache` or ``None``)
     is the shared tier of the agent's serial runner, behind its memory
-    tier. The fault-injection knobs exist for tests:
+    tier; ``None`` suits a worker whose results the runner behind the
+    coordinator stores itself. The socket to the coordinator has Nagle off
+    (:meth:`_connect`), as at every TCP endpoint of the fleet, so a
+    ``pull`` leaves the moment the previous ``result`` is written.
+    The fault-injection knobs exist for tests:
     ``fail_after_chunks=N`` drops the connection abruptly
     when handed chunk ``N+1`` (a crash mid-sweep), ``forge_digest``
     reports a bogus canonical digest on every envelope (a divergent
@@ -137,18 +146,31 @@ class WorkerAgent:
 
     # ------------------------------------------------------------------
     def _connect(self) -> socket.socket:
-        """Dial the coordinator, retrying briefly while it binds."""
+        """Dial the coordinator, retrying briefly while it binds.
+
+        The socket has Nagle off, so every frame leaves at once. With it
+        on, the small ``pull`` written right after a ``result`` frame
+        waited for the coordinator's delayed ACK, about 40 ms a chunk.
+        """
         deadline = time.monotonic() + self.connect_timeout
         while True:
             try:
                 sock = socket.create_connection(
                     (self.host, self.port), timeout=5.0)
-                sock.settimeout(IDLE_TICK_SECONDS)
-                return sock
+                break
             except OSError:
                 if time.monotonic() > deadline:
                     raise
                 time.sleep(0.1)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError as exc:
+            # Tolerated where TCP_NODELAY is unsupported, as in http.client.
+            if exc.errno != errno.ENOPROTOOPT:
+                sock.close()
+                raise
+        sock.settimeout(IDLE_TICK_SECONDS)
+        return sock
 
     def _register(self, sock: socket.socket) -> float:
         """Handshake; returns the heartbeat interval the coordinator set."""
@@ -314,6 +336,11 @@ def spawn_local_workers(address: str, count: int, *,
     is a real ``repro-tls worker --connect`` process, so the measurement
     and fault behavior match a genuinely remote fleet. The caller owns
     the returned handles (terminate → graceful drain via ``SIGTERM``).
+
+    With no ``cache_dir`` the workers run ``--no-cache``: the runner that
+    owns the fleet checks its own tiers before a key reaches a worker
+    and stores each landed entry once, so a worker store into the same
+    directory would only write every computed cell a second time.
     """
     import os
 
@@ -326,7 +353,7 @@ def spawn_local_workers(address: str, count: int, *,
                          else f"{src_root}{os.pathsep}{existing}")
     cmd = [sys.executable, "-m", "repro.analysis.cli", "worker",
            "--connect", address]
-    if cache_dir is not None:
-        cmd += ["--cache-dir", str(cache_dir)]
+    cmd += (["--no-cache"] if cache_dir is None
+            else ["--cache-dir", str(cache_dir)])
     return [subprocess.Popen(cmd, env=env, stdout=subprocess.DEVNULL)
             for _ in range(count)]

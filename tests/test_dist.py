@@ -13,6 +13,9 @@ The contracts under test, in roughly the order the ISSUE states them:
 * digest-mismatch refusal: a forged worker envelope poisons the fleet,
   which then refuses all further work;
 * registration refusal of engine/protocol-version mismatches;
+* Nagle off at both ends of a worker connection;
+* CLI fleets spawn their local workers with no cache, so the runner
+  stores each computed cell once;
 * warm-key short circuits through a worker's shared cache; and
 * the ``dispatch`` block of ``/v1/cache/stats``.
 
@@ -419,6 +422,24 @@ def test_self_consistent_wrong_entry_is_caught_by_the_cross_check(
 
 
 # ----------------------------------------------------------------------
+# Transport
+# ----------------------------------------------------------------------
+def test_both_ends_of_a_worker_connection_have_nagle_off(fleet):
+    # With Nagle on, the worker's small ``pull`` after each ``result``
+    # waited for the coordinator's delayed ACK (~40 ms a chunk). The
+    # stall is a timing effect; the socket option is what is pinned.
+    agent, thread = _start_agent(fleet)
+    _wait_workers(fleet, 1)
+    [worker] = fleet.coordinator._workers.values()
+    coordinator_sock = worker.writer.get_extra_info("socket")
+    for sock in (agent._sock, coordinator_sock):
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    agent.request_drain()
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+
+
+# ----------------------------------------------------------------------
 # Registration gate
 # ----------------------------------------------------------------------
 def _raw_register(fleet, fingerprint):
@@ -667,3 +688,56 @@ def test_cli_fleet_sweep_with_subprocess_workers(tmp_path, monkeypatch,
     assert status == 0
     assert "fleet coordinator on 127.0.0.1:" in out
     assert out.count("Euler") == 2
+
+
+def test_cli_fleet_workers_get_no_cache_directory(tmp_path, monkeypatch,
+                                                  capsys):
+    # The runner behind a CLI fleet checks its tiers before a key
+    # reaches a worker and stores each landed entry; a worker given the
+    # same directory wrote every computed cell a second time.
+    import repro.dist.worker as worker_module
+    from repro.analysis.cli import main
+
+    seen, threads = [], []
+
+    def spawn_in_threads(address, count, *, cache_dir=None):
+        seen.append(cache_dir)
+        for _ in range(count):
+            thread = threading.Thread(target=WorkerAgent(address).run,
+                                      daemon=True)
+            thread.start()
+            threads.append(thread)
+        return []
+
+    monkeypatch.setattr(worker_module, "spawn_local_workers",
+                        spawn_in_threads)
+    monkeypatch.setenv("REPRO_TLS_CACHE", str(tmp_path / "cache"))
+    status = main([
+        "sweep", "--dispatch", "fleet", "--workers", "1",
+        "--apps", "Euler", "--scale", "0.05", "--machine", "cmp8",
+        "--schemes", "SingleT Eager AMM,MultiT&MV Lazy AMM",
+    ])
+    assert status == 0
+    assert seen == [None]
+    assert "cache: 0 hits, 2 misses, 2 stores" in capsys.readouterr().out
+    assert len(ResultCache(tmp_path / "cache")) == 2
+    for thread in threads:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def test_local_workers_without_a_directory_run_no_cache(monkeypatch):
+    # "No directory" must mean no disk tier: a worker with neither flag
+    # would fall back to the default cache root, the runner's own.
+    import subprocess
+
+    from repro.dist import spawn_local_workers
+
+    commands = []
+    monkeypatch.setattr(subprocess, "Popen",
+                        lambda cmd, **_kw: commands.append(cmd))
+    spawn_local_workers("127.0.0.1:1", 1)
+    spawn_local_workers("127.0.0.1:1", 1, cache_dir="/shared/tier")
+    assert commands[0][-1] == "--no-cache"
+    assert "--cache-dir" not in commands[0]
+    assert commands[1][-2:] == ["--cache-dir", "/shared/tier"]
