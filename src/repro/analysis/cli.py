@@ -55,7 +55,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes for simulation sweeps "
-             "(default: os.cpu_count())",
+             "(default: the CPUs this process may run on)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -215,8 +215,7 @@ def _run_sweep(args: argparse.Namespace) -> int:
             print(f"sweep failed: {exc}", file=sys.stderr)
             return 1
         finally:
-            if dispatcher is not None:
-                dispatcher.stop()
+            runner.dispatcher.stop()
     for result in results:
         print(result.summary())
     if args.metrics:
@@ -277,9 +276,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:
+        # The service built its runner, so this stops runner.dispatcher
+        # (pool or fleet) too.
         service.close()
-        if dispatcher is not None:
-            dispatcher.stop()
     return 0
 
 
@@ -987,7 +986,8 @@ examples:
                               "standard per-user cache directory)")
     p_serve.add_argument("--jobs", type=int, default=None, metavar="N",
                          help="worker processes per sweep "
-                              "(default: os.cpu_count())")
+                              "(default: the CPUs this process may run "
+                              "on)")
     p_serve.add_argument("--workers", type=int, default=8, metavar="N",
                          help="concurrent sweep dispatch threads "
                               "(default 8)")

@@ -55,6 +55,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
+from repro.dist.dispatch import chunked
 from repro.dist.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -398,17 +399,17 @@ class FleetCoordinator:
     # ------------------------------------------------------------------
     def _submit(self, items: list[tuple[str, Any]],
                 call: _ComputeCall) -> None:
-        """Enqueue a call's distinct jobs as chunks that carry it."""
+        """Enqueue a call's distinct jobs as chunks that carry it, cut by
+        the pool's rule (:func:`~repro.dist.dispatch.chunked`) for the
+        workers connected now."""
         if self._poisoned is not None:
             call.fail(FleetDivergenceError(self._poisoned))
             return
         self._calls.add(call)
         assert self._queue is not None
-        for start in range(0, len(items), self.chunk_size):
+        for chunk in chunked(items, len(self._workers), self.chunk_size):
             self._chunk_seq += 1
-            self._queue.put_nowait(_Chunk(
-                self._chunk_seq, items[start:start + self.chunk_size],
-                call))
+            self._queue.put_nowait(_Chunk(self._chunk_seq, chunk, call))
 
     def _backoff_delay(self, attempts: int) -> float:
         """Requeue delay after the ``attempts``-th failed attempt."""

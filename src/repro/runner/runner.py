@@ -12,11 +12,13 @@ simulations through. It
   a single computation instead of racing to repeat it;
 * hands the residue — jobs that actually need computing — to a
   pluggable :class:`~repro.dist.dispatch.Dispatcher`: by default the
-  single-host :class:`~repro.dist.dispatch.LocalPoolDispatcher`
-  (chunked :class:`concurrent.futures.ProcessPoolExecutor` fan-out with
-  a serial fallback), or a
-  :class:`~repro.dist.coordinator.FleetDispatcher` shipping the same
-  chunks to remote workers;
+  single-host :class:`~repro.dist.dispatch.LocalPoolDispatcher` (one
+  :class:`concurrent.futures.ProcessPoolExecutor` kept for the
+  dispatcher's lifetime, fed chunks as its children free up, with a
+  serial fallback), or a
+  :class:`~repro.dist.coordinator.FleetDispatcher` shipping chunks cut
+  by the same rule to remote workers; ``runner.dispatcher.stop()``
+  releases either;
 * ships worker results back as zlib-compressed cache entries (one
   self-verifying buffer per job, :mod:`repro.runner.entry`, instead of a
   pickled object graph), and
@@ -252,12 +254,21 @@ def _worker_chunk(jobs: Sequence[SimJob]) -> list[tuple[str, bytes]]:
 
 
 def default_jobs() -> int:
-    """Default worker count: every core the container grants us."""
+    """Default worker count: the CPUs this process may run on.
+
+    That is its affinity set where the platform has one (a process
+    pinned with ``taskset`` counts its own CPUs, not the host's), else
+    ``os.cpu_count()``.
+    """
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0)) or 1
     return os.cpu_count() or 1
 
 
-#: Jobs per pool task. Large enough to amortize pickling/IPC per task,
-#: small enough to keep the pool load-balanced on uneven cell runtimes.
+#: Most jobs per pool or fleet chunk: enough to amortize pickling/IPC
+#: per task. :func:`repro.dist.dispatch.chunked` cuts smaller chunks as a
+#: batch drains, to keep the workers load-balanced.
 DEFAULT_CHUNK_SIZE = 4
 
 

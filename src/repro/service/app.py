@@ -108,6 +108,9 @@ class SimulationService:
                  use_disk: bool = True,
                  inflight_timeout: float = DEFAULT_INFLIGHT_TIMEOUT,
                  dispatcher: Any = None) -> None:
+        #: Whether this service built its runner (and so stops its
+        #: dispatcher on :meth:`close`).
+        self._owns_runner = runner is None
         if runner is None:
             runner = SweepRunner(
                 jobs=jobs,
@@ -137,8 +140,11 @@ class SimulationService:
         self._loop = asyncio.get_running_loop()
 
     def close(self) -> None:
-        """Release the compute thread pool."""
+        """Release the compute thread pool, and the dispatcher (pool
+        children or fleet) of a runner this service built."""
         self._executor.shutdown(wait=False, cancel_futures=True)
+        if self._owns_runner:
+            self.runner.dispatcher.stop()
 
     @property
     def loop(self) -> asyncio.AbstractEventLoop:

@@ -5,6 +5,9 @@ The contracts under test, in roughly the order the ISSUE states them:
 * wire protocol framing — roundtrips, oversized/malformed rejection;
 * the :class:`Dispatcher` seam — ``LocalPoolDispatcher`` is the
   runner's default and delivers at most once per key;
+* the warm local pool — one per dispatcher, shared by concurrent
+  batches, replaced after a child dies mid-batch, ended by ``stop()``
+  — and the chunk rule it shares with the fleet;
 * fleet-vs-serial byte-identity on the 16-cell machine x scheme grid,
   including with one worker killed mid-sweep (requeue + retry);
 * heartbeat-timeout eviction of a silently wedged worker, and a chunk
@@ -27,8 +30,11 @@ drives the CLI with genuine worker subprocesses.
 
 import errno
 import itertools
+import multiprocessing
+import os
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -185,6 +191,22 @@ def test_runner_defaults_to_the_local_pool_dispatcher():
     assert runner.dispatcher.describe() == "local-pool:3x2"
 
 
+def test_the_chunk_rule_keeps_order_and_shrinks_to_single_jobs():
+    from repro.dist.dispatch import chunked
+
+    for n in (1, 5, 15, 36, 49, 200):
+        for width in (1, 2, 3):
+            chunks = chunked(list(range(n)), width, 4)
+            assert [i for chunk in chunks for i in chunk] == list(range(n))
+            sizes = [len(chunk) for chunk in chunks]
+            assert sizes == sorted(sizes, reverse=True)
+            assert sizes[0] <= 4 and sizes[-1] == 1
+            if n >= 4 * width:
+                assert len(chunks) >= 4 * width
+    # Figure 10's batch on two workers: every job its own chunk.
+    assert [len(c) for c in chunked(list(range(15)), 2, 4)] == [1] * 15
+
+
 def test_local_pool_serial_path_delivers_each_key_once():
     jobs = _grid(machines=(NUMA_16,), n_schemes=2)
     dispatcher = LocalPoolDispatcher(jobs=1)
@@ -218,6 +240,235 @@ def test_local_pool_propagates_a_sink_error_unchanged():
     assert dispatcher.stats.pool_batches == 1
     assert dispatcher.stats.pool_failures == 0
     assert dispatcher.stats.serial_batches == 0
+
+
+# ----------------------------------------------------------------------
+# The warm pool: one per dispatcher, shared, replaced when broken
+# ----------------------------------------------------------------------
+def _count_pools(monkeypatch):
+    """Record every process pool the dispatcher constructs."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    import repro.dist.dispatch as dispatch_mod
+
+    pools = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(dispatch_mod, "ProcessPoolExecutor", CountingPool)
+    return pools
+
+
+def _child_pids():
+    return {proc.pid for proc in multiprocessing.active_children()}
+
+
+def _in_children(monkeypatch, wrap):
+    """Run ``wrap(job, compute)`` in place of ``compute_entry`` in pool
+    children only (they fork after the patch); the driver computes as
+    usual."""
+    import repro.runner.runner as runner_mod
+
+    driver = os.getpid()
+    real_compute = runner_mod.compute_entry
+
+    def compute(job):
+        if os.getpid() == driver:
+            return real_compute(job)
+        return wrap(job, real_compute)
+
+    monkeypatch.setattr(runner_mod, "compute_entry", compute)
+
+
+def test_default_jobs_counts_the_cpus_the_process_may_run_on(monkeypatch):
+    from repro.runner import default_jobs
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {0},
+                        raising=False)
+    assert default_jobs() == 1
+    assert LocalPoolDispatcher().jobs == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: {2, 5, 7},
+                        raising=False)
+    assert default_jobs() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert default_jobs() == 64
+
+
+def test_a_child_dying_mid_batch_ends_in_a_serial_recompute(monkeypatch):
+    # The child that draws the victim exits mid-batch, breaking the
+    # pool: the batch's undelivered keys are recomputed serially, each
+    # key is delivered once, and the next batch starts a fresh pool.
+    pools = _count_pools(monkeypatch)
+    jobs = _grid(seed=31)
+    victim = jobs[5].cache_key()
+
+    def dying(job, compute):
+        if job.cache_key() == victim:
+            os._exit(1)
+        return compute(job)
+
+    _in_children(monkeypatch, dying)
+    dispatcher = LocalPoolDispatcher(jobs=2, chunk_size=2)
+    try:
+        landed = []
+        dispatcher.compute([(j.cache_key(), j) for j in jobs],
+                           lambda key, raw: landed.append((key, raw)))
+        keys = [key for key, _raw in landed]
+        assert sorted(keys) == sorted(j.cache_key() for j in jobs)
+        by_key = dict(landed)
+        assert [canonical_result_bytes(decode_payload(by_key[j.cache_key()]))
+                for j in jobs] == _serial_bytes(jobs)
+        stats = dispatcher.stats
+        assert (stats.pool_batches, stats.pool_failures,
+                stats.serial_batches, stats.jobs) == (1, 1, 1, len(jobs))
+        assert len(pools) == 1
+
+        more = _grid(seed=32)
+        landed.clear()
+        dispatcher.compute([(j.cache_key(), j) for j in more],
+                           lambda key, raw: landed.append((key, raw)))
+        assert sorted(key for key, _raw in landed) == \
+            sorted(j.cache_key() for j in more)
+        assert len(pools) == 2
+        assert (stats.pool_batches, stats.pool_failures) == (2, 1)
+    finally:
+        dispatcher.stop()
+
+
+def test_concurrent_batches_share_one_pool(monkeypatch):
+    # More sweeping threads than cores, switching often: the pool stays
+    # one pool of ``jobs`` children, and no counter loses an update.
+    def slow(job, compute):
+        time.sleep(0.05)  # keep the batches in flight together
+        return compute(job)
+
+    _in_children(monkeypatch, slow)
+    jobs = _grid(seed=41) + _grid(seed=42)
+    batches = [jobs[i:i + 8] for i in range(0, len(jobs), 8)]
+    runner = SweepRunner(jobs=2, cache=None)
+    before = _child_pids()
+    widest = 0
+    done = threading.Event()
+
+    def watch():
+        nonlocal widest
+        while not done.is_set():
+            widest = max(widest, len(_child_pids() - before))
+            time.sleep(0.002)
+
+    barrier = threading.Barrier(len(batches))
+    results = [None] * len(batches)
+
+    def sweep(slot):
+        barrier.wait()
+        results[slot] = runner.run_many(batches[slot])
+
+    watcher = threading.Thread(target=watch)
+    threads = [threading.Thread(target=sweep, args=(slot,))
+               for slot in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        watcher.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        done.set()
+        watcher.join(timeout=10)
+        runner.dispatcher.stop()
+    assert 0 < widest <= 2
+    stats = runner.dispatcher.stats
+    assert (stats.pool_batches, stats.jobs, stats.pool_failures) == \
+        (len(batches), len(jobs), 0)
+    for slot, batch in enumerate(batches):
+        assert [canonical_result_bytes(r) for r in results[slot]] == \
+            _serial_bytes(batch)
+
+
+def test_stop_ends_the_pool_and_the_next_batch_starts_a_new_one(
+        monkeypatch):
+    pools = _count_pools(monkeypatch)
+    jobs = _grid(machines=(NUMA_16,), n_schemes=4, seed=51)
+    before = _child_pids()
+    with LocalPoolDispatcher(jobs=2, chunk_size=1) as dispatcher:
+        assert pools == []  # construction starts no pool
+        dispatcher.compute([(j.cache_key(), j) for j in jobs],
+                           lambda _key, _raw: None)
+        children = [proc for proc in multiprocessing.active_children()
+                    if proc.pid not in before]
+        assert len(children) == 2  # warm between batches
+        dispatcher.stop()
+        assert not any(proc.is_alive() for proc in children)
+        assert len(pools) == 1
+        dispatcher.compute([(j.cache_key(), j) for j in jobs],
+                           lambda _key, _raw: None)
+        assert len(pools) == 2
+        assert dispatcher.stats.pool_batches == 2
+        assert len(_child_pids() - before) == 2
+    assert not _child_pids() - before
+
+
+def test_a_cold_figure_pass_uses_one_pool_and_a_warm_one_none(
+        tmp_path, monkeypatch):
+    from repro.analysis.experiments import (
+        ExperimentContext,
+        run_figure9,
+        run_figure10,
+        run_figure11,
+    )
+
+    pools = _count_pools(monkeypatch)
+    runner = SweepRunner(jobs=2, cache=ResultCache(tmp_path))
+    stats = runner.dispatcher.stats
+    try:
+        ctx = ExperimentContext(scale=0.03, runner=runner)
+        run_figure9(ctx)
+        batches = (stats.pool_batches, stats.serial_batches)
+        run_figure10(ctx)
+        # Figure 10, Lazy.L2 bar included, is one pool batch.
+        assert (stats.pool_batches, stats.serial_batches) == \
+            (batches[0] + 1, batches[1])
+        run_figure11(ctx)
+    finally:
+        runner.dispatcher.stop()
+    assert len(pools) == 1
+    assert stats.pool_failures == 0
+
+    class ExplodingPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("pool started for a warm pass")
+
+    import repro.dist.dispatch as dispatch_mod
+
+    monkeypatch.setattr(dispatch_mod, "ProcessPoolExecutor", ExplodingPool)
+    ctx = ExperimentContext(
+        scale=0.03, runner=SweepRunner(jobs=2, cache=ResultCache(tmp_path)))
+    for figure in (run_figure9, run_figure10, run_figure11):
+        figure(ctx)
+
+
+def test_service_close_stops_the_dispatcher_of_its_own_runner(monkeypatch):
+    from repro.service import SimulationService
+
+    stopped = []
+    own = SimulationService(use_disk=False, jobs=2)
+    monkeypatch.setattr(own.runner.dispatcher, "stop",
+                        lambda: stopped.append("own"))
+    own.close()
+    assert stopped == ["own"]
+    runner = SweepRunner(jobs=2, cache=None)
+    monkeypatch.setattr(runner.dispatcher, "stop",
+                        lambda: stopped.append("lent"))
+    SimulationService(runner=runner).close()
+    assert stopped == ["own"]  # a runner it was given is the caller's
 
 
 # ----------------------------------------------------------------------
@@ -293,16 +544,19 @@ def test_chunk_timeout_requeues_and_late_envelopes_are_duplicates(
         min_workers=2, start_timeout=10, result_timeout=60,
         backoff_base=0.05, backoff_cap=0.2, chunk_size=2,
         chunk_timeout=0.5)
-    jobs = _grid(machines=(NUMA_16,), n_schemes=4, seed=24)
+    # Sixteen jobs over two workers: the shared chunk rule puts the
+    # first two in one chunk, so the timed-out chunk holds two keys.
+    jobs = _grid(seed=24)
     reference = _serial_bytes(jobs)
-    # Only the first computation sleeps past the chunk timeout; the
-    # heartbeat thread keeps its agent alive, so the chunk is taken back
-    # on the timeout, not on an eviction.
+    # Only the first computation of the first job sleeps past the chunk
+    # timeout; the heartbeat thread keeps its agent alive, so the chunk
+    # is taken back on the timeout, not on an eviction.
     real_execute = runner_mod.execute_job
+    slow_key = jobs[0].cache_key()
     calls = itertools.count()
 
     def slow_first(job):
-        if next(calls) == 0:
+        if job.cache_key() == slow_key and next(calls) == 0:
             time.sleep(1.5)
         return real_execute(job)
 
