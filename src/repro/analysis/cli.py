@@ -9,7 +9,8 @@ Commands (each has its own ``--help`` with examples):
   scheme, seed, scale, and the extension features.
 * ``repro-tls sweep`` — a (machine x scheme x app) grid through the
   parallel runner, one summary line per cell.
-* ``repro-tls bench`` — the perf harness; writes ``BENCH_sweep.json``.
+* ``repro-tls bench`` — the engine-throughput bench and its CI floor
+  (``--check-floor``), or a cProfile of one cell (``--profile``).
 * ``repro-tls validate`` — the conformance oracle + runtime invariants.
 * ``repro-tls report`` — build the HTML/Markdown reproduction report
   under ``docs/report/``.
@@ -324,25 +325,16 @@ def _run_cache(args: argparse.Namespace) -> int:
 
 
 def _run_bench(args: argparse.Namespace) -> int:
-    from repro.runner.bench import (
-        profile_engine,
-        render_report,
-        run_bench,
-    )
+    from repro.runner.bench import profile_engine, render_report, run_bench
 
     if args.profile:
         listing = profile_engine(output=args.profile_output)
         print(listing.splitlines()[0])
         print(f"profile written to {args.profile_output}")
         return 0
-    report = run_bench(smoke=args.smoke, jobs=args.jobs, seed=args.seed,
-                       output=args.bench_output)
+    report = run_bench(smoke=args.smoke)
     print(render_report(report))
-    if not report["determinism"]["bit_identical"]:
-        print("FAIL: results differ across serial/pool/cache-replay",
-              file=sys.stderr)
-        return 1
-    if args.check_floor and not report["floor"]["passed"]:
+    if args.check_floor and not report["passed_floor"]:
         print("FAIL: engine throughput below the committed perf floor",
               file=sys.stderr)
         return 1
@@ -646,7 +638,7 @@ examples:
   repro-tls all --scale 0.25 --jobs 8  # everything, quarter-size, 8 workers
   repro-tls run --app Apsi --scheme "MultiT&MV Lazy AMM"
   repro-tls sweep --apps Euler,Apsi --metrics
-  repro-tls bench --smoke              # CI perf + determinism gate
+  repro-tls bench --smoke --check-floor  # CI engine-throughput floor
   repro-tls validate --smoke           # CI conformance gate
   repro-tls report --smoke             # build docs/report/index.html
   repro-tls explore --smoke            # design-space sweeps + frontier
@@ -755,30 +747,26 @@ examples:
     p_sweep.set_defaults(func=_run_sweep)
 
     p_bench = sub.add_parser(
-        "bench", help="perf harness + cross-mode determinism gate",
+        "bench", help="engine-throughput bench + CI perf floor",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog="""\
-measures engine events/sec and Figure-9 sweep wall-clock (serial /
-parallel / warm cache), probes that serial, process-pool, and
-cache-replayed results are bit-identical, and writes the JSON report.
-exits non-zero if determinism is violated.
+measures raw engine events/sec (3 apps x 4 schemes on CC-NUMA-16,
+serial, uncached) and prints it; only --profile writes a file. sweep
+wall clock and cross-mode bit-identity are measured by tlsbench
+(tlsbench/README.md).
 
 examples:
-  repro-tls bench --smoke                # sanity configuration
+  repro-tls bench                        # full scale
   repro-tls bench --smoke --check-floor  # the CI perf gate
-  repro-tls bench --jobs 16 --bench-output /tmp/bench.json
   repro-tls bench --profile              # cProfile one cell to docs/report/
 """)
-    _add_common(p_bench)
     p_bench.add_argument("--smoke", action="store_true", help=_SMOKE_HELP)
-    p_bench.add_argument("--bench-output", default="BENCH_sweep.json",
-                         help="report path (default BENCH_sweep.json)")
     p_bench.add_argument("--check-floor", action="store_true",
                          help="exit non-zero if engine events/sec falls "
                               "below the committed regression floor")
     p_bench.add_argument("--profile", action="store_true",
                          help="skip the bench; cProfile one representative "
-                              "cell and write the top-30 cumulative listing")
+                              "cell and write its top-30 listings")
     p_bench.add_argument("--profile-output", default="docs/report/profile.txt",
                          help="profile listing path "
                               "(default docs/report/profile.txt)")

@@ -52,7 +52,7 @@ import threading
 import time
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Sequence
 
 from repro.dist.dispatch import chunked
@@ -134,18 +134,7 @@ class FleetStats:
 
     def to_dict(self) -> dict[str, int]:
         """JSON-ready counter snapshot (for ``/v1/cache/stats``)."""
-        return {
-            "workers_registered": self.workers_registered,
-            "workers_refused": self.workers_refused,
-            "workers_lost": self.workers_lost,
-            "chunks_dispatched": self.chunks_dispatched,
-            "chunks_requeued": self.chunks_requeued,
-            "chunks_failed": self.chunks_failed,
-            "results_received": self.results_received,
-            "duplicate_results": self.duplicate_results,
-            "cache_short_circuits": self.cache_short_circuits,
-            "digest_mismatches": self.digest_mismatches,
-        }
+        return asdict(self)
 
 
 class _Chunk:

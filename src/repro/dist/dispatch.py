@@ -39,8 +39,8 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     as_completed,
 )
-from dataclasses import dataclass
-from typing import Any, Callable, Protocol, Sequence, runtime_checkable
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Protocol, Sequence
 
 #: ``(key, job)`` pairs the runner asks a dispatcher to compute.
 PendingJobs = Sequence[tuple[str, Any]]
@@ -78,7 +78,6 @@ def chunked(items: Sequence[Any], width: int,
     return chunks
 
 
-@runtime_checkable
 class Dispatcher(Protocol):
     """Backend protocol for computing a batch of cache-miss jobs.
 
@@ -118,9 +117,7 @@ class LocalPoolStats:
 
     def to_dict(self) -> dict[str, int]:
         """JSON-ready counter snapshot (for ``/v1/cache/stats``)."""
-        return {"pool_batches": self.pool_batches, "chunks": self.chunks,
-                "jobs": self.jobs, "serial_batches": self.serial_batches,
-                "pool_failures": self.pool_failures}
+        return asdict(self)
 
 
 class LocalPoolDispatcher:

@@ -34,8 +34,9 @@ import json
 import os
 import re
 import tempfile
+import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -86,9 +87,7 @@ class CacheStats:
 
     def to_dict(self) -> dict[str, int]:
         """JSON-ready counter snapshot (for ``/v1/cache/stats``)."""
-        return {"hits": self.hits, "misses": self.misses,
-                "stores": self.stores, "evictions": self.evictions,
-                "store_errors": self.store_errors}
+        return asdict(self)
 
 
 #: Default entry bound for the in-memory tier. A full paper sweep is a
@@ -103,6 +102,8 @@ class MemoryResultCache:
     that passed its check. A hit
     refreshes recency; capacity overflow evicts the least recently used
     entry and counts it in :attr:`stats.evictions <CacheStats.evictions>`.
+    One lock guards the entries and the counters: ``serve`` reads the
+    tier on its event loop while executor threads store into it.
     """
 
     def __init__(self, max_entries: int = DEFAULT_MEMORY_ENTRIES) -> None:
@@ -110,36 +111,40 @@ class MemoryResultCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self._entries: OrderedDict[str, bytes] = OrderedDict()
+        self._lock = threading.Lock()
         self.stats = CacheStats()
 
     def load(self, key: str) -> bytes | None:
         """The stored entry for ``key`` (refreshes LRU recency)."""
-        raw = self._entries.get(key)
-        if raw is None:
-            self.stats.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.stats.hits += 1
-        return raw
+        with self._lock:
+            raw = self._entries.get(key)
+            if raw is None:
+                self.stats.misses += 1
+                return None
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            return raw
 
     def store(self, key: str, raw: bytes) -> None:
         """Insert (or refresh) ``key``; evicts the LRU entry when full."""
         entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
+        with self._lock:
+            if key in entries:
+                entries.move_to_end(key)
+                entries[key] = raw
+                return
             entries[key] = raw
-            return
-        entries[key] = raw
-        self.stats.stores += 1
-        if len(entries) > self.max_entries:
-            entries.popitem(last=False)
-            self.stats.evictions += 1
+            self.stats.stores += 1
+            if len(entries) > self.max_entries:
+                entries.popitem(last=False)
+                self.stats.evictions += 1
 
     def clear(self) -> int:
         """Drop every entry; returns the number removed."""
-        removed = len(self._entries)
-        self._entries.clear()
-        return removed
+        with self._lock:
+            removed = len(self._entries)
+            self._entries.clear()
+            return removed
 
     def keys(self) -> list[str]:
         """Resident keys, least recently used first."""

@@ -36,7 +36,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -54,8 +54,7 @@ class SingleFlightStats:
 
     def to_dict(self) -> dict[str, int]:
         """JSON-ready counter snapshot (for ``/v1/cache/stats``)."""
-        return {"led": self.led, "joined": self.joined,
-                "failed": self.failed, "timeouts": self.timeouts}
+        return asdict(self)
 
 
 class SingleFlight:

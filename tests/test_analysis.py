@@ -173,6 +173,34 @@ class TestCLI:
         assert main(["figure1", "--scale", "0.05"]) == 0
         assert "P3m" in capsys.readouterr().out
 
+    def test_bench_check_floor_fails_below_the_floor(self, capsys,
+                                                     monkeypatch):
+        from repro.runner import bench
+
+        monkeypatch.setattr(bench, "FLOOR_EVENTS_PER_SECOND", float("inf"))
+        assert main(["bench", "--smoke", "--check-floor"]) == 1
+        assert "below the committed perf floor" in capsys.readouterr().err
+        monkeypatch.setattr(bench, "FLOOR_EVENTS_PER_SECOND", 0.0)
+        assert main(["bench", "--smoke", "--check-floor"]) == 0
+        assert "floor: 0 ev/s: pass" in capsys.readouterr().out
+
+    def test_bench_takes_no_sweep_flags(self, capsys):
+        for flag in ("--scale", "--seed", "--jobs", "--bench-output"):
+            with pytest.raises(SystemExit):
+                main(["bench", flag, "1"])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_bench_profile_writes_a_listing_naming_its_cell(self, capsys,
+                                                            tmp_path):
+        out = tmp_path / "profile.txt"
+        assert main(["bench", "--profile", "--profile-output",
+                     str(out)]) == 0
+        first = out.read_text().splitlines()[0]
+        assert first.startswith(
+            "cProfile: Euler x MultiT&MV Eager AMM on CC-NUMA-16")
+        assert capsys.readouterr().out.splitlines() == [
+            first, f"profile written to {out}"]
+
 
 class TestBeyondPaperExperiments:
     def test_breakdown_fractions_sum_to_one(self, ctx):

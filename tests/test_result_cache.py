@@ -372,6 +372,54 @@ def test_concurrent_writers_never_expose_a_torn_entry(tmp_path):
     assert list(tmp_path.glob("*/*.tmp")) == []
 
 
+def test_memory_tier_survives_readers_beside_an_evicting_writer():
+    # `serve` reads the tier on its event loop while executor threads
+    # store into it: a store that evicts the key a load has just found
+    # must not break that load, and two readers' counts must not be
+    # lost (three threads on the two-CPU hosts CI runs on).
+    import sys
+    import threading
+
+    tier = MemoryResultCache(max_entries=2)
+    keys = ["0a", "0b", "0c"]
+    stop = threading.Event()
+    errors = []
+    loads = [0, 0]
+
+    def reader(index):
+        try:
+            while not stop.is_set():
+                for key in keys:
+                    tier.load(key)
+                    loads[index] += 1
+        except Exception as exc:
+            errors.append(exc)
+            stop.set()
+
+    def writer():
+        while not stop.is_set():
+            for key in keys:
+                tier.store(key, b"entry")
+
+    threads = [threading.Thread(target=reader, args=(index,))
+               for index in range(2)] + [threading.Thread(target=writer)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        stop.wait(1.0)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert all(loads)
+    assert tier.stats.hits + tier.stats.misses == sum(loads)
+
+
 def test_raw_and_decoded_paths_see_the_same_payload(tmp_path):
     from repro.runner.entry import check_entry, entry_body
 
