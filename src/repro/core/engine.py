@@ -279,9 +279,10 @@ class Simulation:
         Op completions travel with ``fn=None`` (see
         :meth:`_schedule_completion`) and this loop is their only
         implementation. Two cases of the step that follows are executed
-        inline against the flat state columns, for the engine time they
-        save (interleaved A/B against this loop without the path,
-        112-cell Figure 9-11 grid at scale 0.1; see EXPERIMENTS.md):
+        inline against the cache-line and directory-word records, for
+        the engine time they save (interleaved A/B against this loop
+        without the path, 112-cell Figure 9-11 grid at scale 0.1; see
+        EXPERIMENTS.md):
 
         * an L1 read hit on the exact version — median 5.6%, slower
           without it in 16 of 16 rounds;
@@ -305,13 +306,9 @@ class Simulation:
         processed = self._events_processed
         procs = self.procs
         directory = self.directory
-        dir_rows = directory._row
-        dir_producers = directory._producers
-        dir_readers = directory._readers
-        dir_words = directory._words
+        dir_words = directory.words
         dstats = directory.stats
-        l1_keys = [p.l1._key_slot for p in procs]
-        l1_touch = [p.l1._touch for p in procs]
+        l1_lines = [p.l1.lines for p in procs]
         l1_stats = [p.l1.stats for p in procs]
         accounts = [p.account._cycles for p in procs]
         inflight_start = self._inflight_start
@@ -379,38 +376,34 @@ class Simulation:
                               (proc, epoch, run, attempt, step_busy, 0.0)))
                         continue
                     if kind == STEP_READ and fast_read:
-                        # version_for_read against the interned rows.
+                        # version_for_read against the word's record.
                         word = run.step_word[i]
                         tid = run.spec.task_id
-                        row = dir_rows.get(word)
-                        if row is None:
+                        state = dir_words.get(word)
+                        if state is None:
                             producer = ARCH_TASK_ID
                         else:
-                            producers = dir_producers[row]
+                            producers = state[0]
                             idx = (bisect_right(producers, tid)
                                    if producers else 0)
                             producer = (producers[idx - 1] if idx
                                         else ARCH_TASK_ID)
                         line = word >> _LINE_SHIFT
-                        slot = l1_keys[pid].get(
+                        entry = l1_lines[pid].get(
                             (line << _KEY_SHIFT) + producer + 2)
-                        if slot is not None:
+                        if entry is not None:
                             # L1 hit on the exact version: touch, record
                             # the read, complete at L1 latency.
-                            l1_touch[pid][slot] = when
+                            entry.last_touch = when
                             l1_stats[pid].hits += 1
                             dstats.reads += 1
                             if producer != tid:
                                 if producer != ARCH_TASK_ID:
                                     dstats.forwarded_reads += 1
-                                if row is None:
-                                    row = len(dir_words)
-                                    dir_rows[word] = row
-                                    dir_producers.append([])
-                                    dir_readers.append({tid: producer})
-                                    dir_words.append(word)
+                                if state is None:
+                                    dir_words[word] = ([], {tid: producer})
                                 else:
-                                    readers = dir_readers[row]
+                                    readers = state[1]
                                     previous = readers.get(tid)
                                     if (previous is None
                                             or producer < previous):
@@ -544,16 +537,12 @@ class Simulation:
         negligible", so no cycles are charged).
         """
         l1 = proc.l1
-        dirty_col = l1._dirty
-        committed_col = l1._committed
         for entry in l1.lines_of_task(run.task_id):
-            slot = entry._slot
-            if dirty_col[slot]:
-                committed = bool(committed_col[slot])
+            if entry.dirty:
                 l1.remove(entry)
                 victim = proc.l2.install(entry.line_addr, entry.task_id,
-                                         dirty=True, committed=committed,
-                                         now=now)
+                                         dirty=True,
+                                         committed=entry.committed, now=now)
                 if victim is not None:
                     self._dispose_victim(proc, victim, now)
 
@@ -593,18 +582,17 @@ class Simulation:
         # not record misses, matching find()'s purity).
         l1 = proc.l1
         key = (line << _KEY_SHIFT) + tid + 2
-        slot = l1._key_slot.get(key)
-        l2_slot = None if slot is not None else proc.l2._key_slot.get(key)
-        if slot is not None:
-            l1._touch[slot] = now
+        entry = l1.lines.get(key)
+        l2_entry = None if entry is not None else proc.l2.lines.get(key)
+        if entry is not None:
+            entry.last_touch = now
             l1.stats.hits += 1
-            l1._dirty[slot] = 1
+            entry.dirty = True
             latency = self._lat_l1f
-        elif l2_slot is not None:
-            l2 = proc.l2
-            l2._touch[l2_slot] = now
-            l2.stats.hits += 1
-            l2._dirty[l2_slot] = 1
+        elif l2_entry is not None:
+            l2_entry.last_touch = now
+            proc.l2.stats.hits += 1
+            l2_entry.dirty = True
             self._install(l1, proc, line, tid, dirty=True,
                           committed=False, now=now)
             latency = self._lat_l2f
@@ -665,22 +653,21 @@ class Simulation:
         tid = run.task_id
         if not proc.undolog.needs_entry(tid, line):
             return 0.0
-        # Per-word previous-version probes against the directory's
-        # interned rows (inline latest_version_at_most: one line is
+        # Per-word previous-version probes against the directory's word
+        # records (inline latest_version_at_most: one line is
         # WORDS_PER_LINE probes, several thousand lines get logged per
         # FMM run). The words iterate in ascending address order, so the
         # collected pairs are already sorted.
-        rows = self.directory._row
-        all_producers = self.directory._producers
+        dir_words = self.directory.words
         words: list[tuple[int, int]] = []
         saved_producer = ARCH_TASK_ID
         start = line << _LINE_SHIFT
         for w in range(start, start + WORDS_PER_LINE):
-            row = rows.get(w)
-            if row is None:
+            state = dir_words.get(w)
+            if state is None:
                 prev = ARCH_TASK_ID
             else:
-                producers = all_producers[row]
+                producers = state[0]
                 idx = bisect_right(producers, tid) if producers else 0
                 prev = producers[idx - 1] if idx else ARCH_TASK_ID
             if prev == tid:
@@ -727,20 +714,20 @@ class Simulation:
         """Round-trip latency to obtain version ``producer`` of ``line``."""
         l1 = proc.l1
         key = (line << _KEY_SHIFT) + producer + 2
-        slot = l1._key_slot.get(key)
-        if slot is not None:
-            l1._touch[slot] = now
+        entry = l1.lines.get(key)
+        if entry is not None:
+            entry.last_touch = now
             l1.stats.hits += 1
             return self._lat_l1f
         l1.stats.misses += 1
         l2 = proc.l2
-        slot = l2._key_slot.get(key)
-        if slot is not None:
-            l2._touch[slot] = now
+        entry = l2.lines.get(key)
+        if entry is not None:
+            entry.last_touch = now
             l2.stats.hits += 1
             if install_copy:
                 self._install(l1, proc, line, producer, dirty=False,
-                              committed=bool(l2._committed[slot]), now=now)
+                              committed=entry.committed, now=now)
             return self._lat_l2f
         l2.stats.misses += 1
         latency, cacheable = self._global_fetch(proc, line, producer)
@@ -939,11 +926,6 @@ class Simulation:
     # ==================================================================
     # MultiT&SV version-conflict stalls
     # ==================================================================
-    def _sv_conflict(self, proc: Processor, run: TaskRun, word: int) -> bool:
-        if self.scheme.task_policy is not TaskPolicy.MULTI_T_SV:
-            return False
-        return self._sv_blocker(proc, run, word) is not None
-
     def _sv_blocker(self, proc: Processor, run: TaskRun,
                     word: int) -> int | None:
         """Earliest local task holding a *dirty* speculative version of the

@@ -357,14 +357,22 @@ class ServiceThread:
         self._server: asyncio.Server | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
+        self._start_error: OSError | None = None
 
     def start(self) -> "ServiceThread":
-        """Launch the loop thread; returns once the socket is bound."""
+        """Launch the loop thread; returns once the socket is bound.
+
+        A bind failure (a taken port, say) is raised here as the
+        :class:`OSError` itself, as soon as the loop thread meets it.
+        """
         self._thread = threading.Thread(
             target=self._run, name="repro-tls-serve", daemon=True)
         self._thread.start()
         if not self._ready.wait(timeout=30):
             raise RuntimeError("service thread failed to start")
+        if self._start_error is not None:
+            self._thread.join(timeout=10)
+            raise self._start_error
         return self
 
     def _run(self) -> None:
@@ -372,8 +380,13 @@ class ServiceThread:
 
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._server = await start_server(self.service, self.host,
-                                          self.port)
+        try:
+            self._server = await start_server(self.service, self.host,
+                                              self.port)
+        except OSError as exc:
+            self._start_error = exc
+            self._ready.set()
+            return
         self.port = bound_port(self._server)
         self._ready.set()
         try:

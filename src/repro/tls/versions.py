@@ -12,18 +12,19 @@ squashes are triggered only by an out-of-order RAW on the same word — a
 write by task T squashes reader U > T if U consumed a version older than T.
 Word granularity means false sharing within a line never squashes.
 
-Storage layout (engine-core v3): per-word state is interned into *rows*.
-``_row`` maps a word address to its row index, assigned on the word's
-first tracked access and never freed; ``_producers[row]`` (sorted task-ID
-list), ``_readers[row]`` (reader -> oldest version seen) and
-``_words[row]`` (the reverse mapping) are flat parallel columns. The hot
-protocol operations (:meth:`version_for_read`, :meth:`record_read`,
-:meth:`record_write`, :meth:`latest_version_at_most`) run several times
-per simulated memory op; one shared interning dict plus list indexing
-replaces the two independent per-word dict probes of the v2 layout, and
-the engine's drain loop binds the columns directly for its inline L1
-read-hit path (which must mirror :meth:`version_for_read` and
-:meth:`record_read` mutation for mutation).
+Storage layout: :attr:`VersionDirectory.words` is one insertion-ordered
+dict from a word address to its record, a ``(producers, readers)`` pair
+— the sorted producer task IDs with a live version of the word, and
+reader -> oldest version seen. A word gets its record on its first
+tracked access and keeps it. The hot protocol operations
+(:meth:`~VersionDirectory.version_for_read`,
+:meth:`~VersionDirectory.record_read`,
+:meth:`~VersionDirectory.record_write`,
+:meth:`~VersionDirectory.latest_version_at_most`) run several times per
+simulated memory op and cost one dict probe each; the engine's drain loop
+reads the same dict in its inline L1 read-hit path (which must mirror
+:meth:`~VersionDirectory.version_for_read` and
+:meth:`~VersionDirectory.record_read` mutation for mutation).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from dataclasses import dataclass
 
 from repro.memsys.cache import ARCH_TASK_ID
 
-_EMPTY: dict = {}
+#: The record of a word with no tracked access (never mutated).
+_NO_STATE: tuple = ((), {})
 
 
 @dataclass
@@ -49,26 +51,17 @@ class VersionDirectory:
     """System-wide word-granularity version order and reader tracking."""
 
     def __init__(self) -> None:
-        #: word -> row index (assigned on first tracked access, never freed).
-        self._row: dict[int, int] = {}
-        #: row -> sorted producer task IDs with a live version of the word.
-        self._producers: list[list[int]] = []
-        #: row -> {reader task ID: oldest producer ID that reader consumed}.
-        self._readers: list[dict[int, int]] = []
-        #: row -> word address (reverse mapping for sweeps and images).
-        self._words: list[int] = []
+        #: word -> (sorted producer task IDs with a live version,
+        #: {reader task ID: oldest producer ID that reader consumed}).
+        self.words: dict[int, tuple[list[int], dict[int, int]]] = {}
         self.stats = DirectoryStats()
 
-    def _intern(self, word_addr: int) -> int:
-        """Row index for ``word_addr``, creating an empty row if needed."""
-        row = self._row.get(word_addr)
-        if row is None:
-            row = len(self._words)
-            self._row[word_addr] = row
-            self._producers.append([])
-            self._readers.append({})
-            self._words.append(word_addr)
-        return row
+    def _intern(self, word_addr: int) -> tuple[list[int], dict[int, int]]:
+        """The record of ``word_addr``, creating an empty one if needed."""
+        state = self.words.get(word_addr)
+        if state is None:
+            state = self.words[word_addr] = ([], {})
+        return state
 
     # ------------------------------------------------------------------
     # Reads
@@ -81,16 +74,7 @@ class VersionDirectory:
         Returns :data:`ARCH_TASK_ID` if no speculative version precedes the
         reader.
         """
-        row = self._row.get(word_addr)
-        if row is None:
-            return ARCH_TASK_ID
-        producers = self._producers[row]
-        if not producers:
-            return ARCH_TASK_ID
-        idx = bisect_right(producers, reader)
-        if idx == 0:
-            return ARCH_TASK_ID
-        return producers[idx - 1]
+        return self.latest_version_at_most(word_addr, reader)
 
     def record_read(self, word_addr: int, reader: int, version_seen: int) -> None:
         """Note that ``reader`` consumed ``version_seen`` of ``word_addr``.
@@ -104,7 +88,7 @@ class VersionDirectory:
             return
         if version_seen != ARCH_TASK_ID:
             self.stats.forwarded_reads += 1
-        readers = self._readers[self._intern(word_addr)]
+        readers = self._intern(word_addr)[1]
         previous = readers.get(reader)
         if previous is None or version_seen < previous:
             readers[reader] = version_seen
@@ -120,21 +104,13 @@ class VersionDirectory:
         earliest violated reader and its successors.
         """
         self.stats.writes += 1
-        row = self._intern(word_addr)
-        producers = self._producers[row]
+        producers, readers = self._intern(word_addr)
         idx = bisect_right(producers, producer)
         if idx == 0 or producers[idx - 1] != producer:
             insort(producers, producer)
-        # Inline violated_readers: the reader map is already in hand, so
-        # the hot path does a single list index per write.
-        readers = self._readers[row]
         if not readers:
             return []
-        violated = sorted(
-            reader
-            for reader, seen in readers.items()
-            if reader > producer and seen < producer
-        )
+        violated = _violated(readers, producer)
         if violated:
             self.stats.violations += 1
         return violated
@@ -146,17 +122,7 @@ class VersionDirectory:
         detection mode uses it to find false-sharing victims on the other
         words of the written line.
         """
-        row = self._row.get(word_addr)
-        if row is None:
-            return []
-        readers = self._readers[row]
-        if not readers:
-            return []
-        return sorted(
-            reader
-            for reader, seen in readers.items()
-            if reader > producer and seen < producer
-        )
+        return _violated(self.words.get(word_addr, _NO_STATE)[1], producer)
 
     # ------------------------------------------------------------------
     # Squash / commit bookkeeping
@@ -169,22 +135,17 @@ class VersionDirectory:
         touched (the engine tracks them per attempt), so the purge is
         targeted rather than a full directory sweep.
         """
-        rows = self._row
-        all_producers = self._producers
+        words = self.words
         for word in written:
-            row = rows.get(word)
-            if row is None:
+            state = words.get(word)
+            if state is None:
                 continue
-            producers = all_producers[row]
+            producers = state[0]
             if producers:
                 idx = bisect_right(producers, task_id)
                 if idx and producers[idx - 1] == task_id:
                     producers.pop(idx - 1)
-        all_readers = self._readers
-        for word in read:
-            row = rows.get(word)
-            if row is not None:
-                all_readers[row].pop(task_id, None)
+        self.forget_reader(task_id, read)
 
     def purge_tasks(self, task_ids: set[int]) -> None:
         """Full-sweep removal of versions and reads of ``task_ids``.
@@ -192,26 +153,22 @@ class VersionDirectory:
         Slower than :meth:`purge_task`; kept for hand-driven protocol tests
         that do not track per-attempt word sets.
         """
-        all_producers = self._producers
-        for row, producers in enumerate(all_producers):
+        for producers, readers in self.words.values():
             if producers:
-                all_producers[row] = [p for p in producers
-                                      if p not in task_ids]
-        for readers in self._readers:
+                producers[:] = [p for p in producers if p not in task_ids]
             for tid in task_ids.intersection(readers):
                 del readers[tid]
 
     def forget_reader(self, task_id: int, read: set[int] | None = None) -> None:
         """Drop reader records of a committed task (it can't be violated)."""
-        all_readers = self._readers
+        words = self.words
         if read is not None:
-            rows = self._row
             for word in read:
-                row = rows.get(word)
-                if row is not None:
-                    all_readers[row].pop(task_id, None)
+                state = words.get(word)
+                if state is not None:
+                    state[1].pop(task_id, None)
             return
-        for readers in all_readers:
+        for _producers, readers in words.values():
             readers.pop(task_id, None)
 
     # ------------------------------------------------------------------
@@ -226,24 +183,19 @@ class VersionDirectory:
         records but no live version yield an empty producer list, and
         vice versa.
         """
-        all_producers = self._producers
-        all_readers = self._readers
-        for row, word in enumerate(self._words):
-            yield word, all_producers[row], all_readers[row]
+        for word, (producers, readers) in self.words.items():
+            yield word, producers, readers
 
     def producers_of(self, word_addr: int) -> list[int]:
         """Task IDs with a live version of ``word_addr``, in order."""
-        row = self._row.get(word_addr)
-        if row is None:
-            return []
-        return list(self._producers[row])
+        return list(self.words.get(word_addr, _NO_STATE)[0])
 
     def latest_version_at_most(self, word_addr: int, bound: int) -> int:
         """Latest producer <= ``bound`` for ``word_addr`` (ARCH if none)."""
-        row = self._row.get(word_addr)
-        if row is None:
+        state = self.words.get(word_addr)
+        if state is None:
             return ARCH_TASK_ID
-        producers = self._producers[row]
+        producers = state[0]
         if not producers:
             return ARCH_TASK_ID
         idx = bisect_right(producers, bound)
@@ -260,10 +212,7 @@ class VersionDirectory:
 
     def has_version(self, word_addr: int, producer: int) -> bool:
         """True when ``producer`` holds a live version of ``word_addr``."""
-        row = self._row.get(word_addr)
-        if row is None:
-            return False
-        producers = self._producers[row]
+        producers = self.words.get(word_addr, _NO_STATE)[0]
         if not producers:
             return False
         idx = bisect_right(producers, producer)
@@ -278,7 +227,7 @@ class VersionDirectory:
         """
         return {
             word: producers[-1]
-            for word, producers in zip(self._words, self._producers)
+            for word, (producers, _readers) in self.words.items()
             if producers
         }
 
@@ -286,6 +235,15 @@ class VersionDirectory:
         """Every word address with at least one recorded version."""
         return {
             word
-            for word, producers in zip(self._words, self._producers)
+            for word, (producers, _readers) in self.words.items()
             if producers
         }
+
+
+def _violated(readers: dict[int, int], producer: int) -> list[int]:
+    """Readers a write by ``producer`` violates, in task order."""
+    return sorted(
+        reader
+        for reader, seen in readers.items()
+        if reader > producer and seen < producer
+    )

@@ -184,6 +184,27 @@ class TestCLI:
         assert main(["bench", "--smoke", "--check-floor"]) == 0
         assert "floor: 0 ev/s: pass" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("rates, code", [
+        ([50_000, 90_000, 95_000, 60_000, 100_000], 0),
+        ([70_000, 50_000, 60_000, 65_000, 120_000], 1),
+    ])
+    def test_bench_floor_gates_on_the_median_of_five_samples(
+            self, capsys, monkeypatch, rates, code):
+        from repro.runner import bench
+
+        pending = iter(rates)
+
+        def fixed_sample(scale=1.0, seed=0, apps=bench.ENGINE_BENCH_APPS):
+            return {"apps": list(apps), "schemes": [], "scale": scale,
+                    "events": 1_000, "seconds": 0.01,
+                    "events_per_second": float(next(pending))}
+
+        monkeypatch.setattr(bench, "run_engine_bench", fixed_sample)
+        assert main(["bench", "--smoke", "--check-floor"]) == code
+        out = capsys.readouterr().out
+        assert f"median {sorted(rates)[2]:,} ev/s" in out
+        assert ", ".join(f"{rate:,}" for rate in rates) in out
+
     def test_bench_takes_no_sweep_flags(self, capsys):
         for flag in ("--scale", "--seed", "--jobs", "--bench-output"):
             with pytest.raises(SystemExit):

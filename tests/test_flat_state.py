@@ -1,24 +1,23 @@
-"""Lock-step tests for the engine-core v3 flat state columns.
+"""Lock-step tests for the engine's plain cache-line and directory records.
 
-Two pillars of the v3 layout are exercised here against plain
-dict-based references implementing the v2 semantics:
+Two structures are exercised here against plain references:
 
 * :class:`repro.memsys.cache.VersionCache` — the fused hot-path
   :meth:`~repro.memsys.cache.VersionCache.install` must be
   operation-for-operation equivalent to constructing a
   :class:`~repro.memsys.cache.CacheLine` and calling :meth:`insert`
-  (same flag merging, LRU victim, statistics), and the slot columns
-  (``_dirty`` / ``_committed`` / ``_touch`` / ``_key_slot`` /
-  ``_view``) must stay consistent with the view objects after any
-  operation stream.
-* :class:`repro.tls.versions.VersionDirectory` — the interned rows
-  (``_row`` / ``_producers`` / ``_readers`` / ``_words``) must answer
-  every protocol query exactly like an unoptimized per-word
-  two-dict reference.
+  (same flag merging, LRU victim, statistics), and every resident record
+  must be reachable through each of the cache's three indexes
+  (``lines``, its set list, ``_by_task``) after any operation stream.
+  A record keeps its identity while resident, and a displaced victim
+  keeps its field values after it leaves the cache.
+* :class:`repro.tls.versions.VersionDirectory` — the per-word records
+  (``words``) must answer every protocol query exactly like an
+  unoptimized per-word two-dict reference.
 
-The engine's batched drain loop binds these columns directly in its
-inlined fast paths, so a divergence here is a bit-identity bug even if
-the public API still looks healthy.
+The engine's batched drain loop reads and writes these records directly
+in its inlined fast paths, so a divergence here is a bit-identity bug
+even if the public API still looks healthy.
 """
 
 from bisect import bisect_right, insort
@@ -71,26 +70,17 @@ def _stats_tuple(cache):
             s.peak_resident_lines)
 
 
-def _check_columns(cache):
-    """The slot columns and the view objects must agree everywhere."""
-    seen_slots = set()
-    for entry in cache:
-        slot = entry._slot
-        assert entry._cache is cache
-        assert slot not in seen_slots
-        seen_slots.add(slot)
+def _check_indexes(cache):
+    """Every resident record is the same object in each of the indexes."""
+    resident = list(cache)
+    for entry in resident:
         key = (entry.line_addr << KEY_SHIFT) + entry.task_id + KEY_BIAS
-        assert cache._key_slot[key] == slot
-        assert cache._view[slot] is entry
-        assert entry.dirty == bool(cache._dirty[slot])
-        assert entry.committed == bool(cache._committed[slot])
-        assert entry.last_touch == cache._touch[slot]
-    assert len(seen_slots) == len(cache) == cache._resident
-    assert len(cache._key_slot) == len(cache)
-    free = set(cache._free)
-    assert not (free & seen_slots)
-    for slot in free:
-        assert cache._view[slot] is None
+        assert cache.lines[key] is entry
+        cache_set = cache._sets[cache.set_index(entry.line_addr)]
+        assert any(e is entry for e in cache_set)
+        assert cache._by_task[entry.task_id][entry.line_addr] is entry
+    assert len(resident) == len(cache) == len(cache.lines)
+    assert sum(len(lines) for lines in cache._by_task.values()) == len(cache)
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,14 +129,14 @@ def test_install_lockstep_with_insert(ops):
         assert _stats_tuple(fused) == _stats_tuple(reference)
         for line in LINES:
             assert fused.version_count(line) == reference.version_count(line)
-        _check_columns(fused)
-        _check_columns(reference)
+        _check_indexes(fused)
+        _check_indexes(reference)
 
 
 @settings(max_examples=100, deadline=None)
 @given(CACHE_OPS)
 def test_find_returns_interned_identity(ops):
-    """find() must return the same view object until removal."""
+    """find() must return the same record object until removal."""
     cache = VersionCache(GEOMETRY)
     clock = 0.0
     for op in ops:
@@ -161,18 +151,45 @@ def test_find_returns_interned_identity(ops):
             if before is not None:
                 # Re-installing an existing version keeps the object.
                 assert after is before
-                assert before._cache is cache
         elif op[0] == "invalidate":
             dropped = cache.lines_of_task(op[1])
             cache.invalidate_task(op[1])
             for entry in dropped:
-                # Detached snapshots: stable values, no cache binding.
-                assert entry._cache is None
                 assert cache.find(entry.line_addr, entry.task_id) is not entry
 
 
+def _fields(entry):
+    return (entry.line_addr, entry.task_id, entry.dirty, entry.committed,
+            entry.last_touch)
+
+
+def test_victim_keeps_its_fields_and_reinstalling_makes_a_new_record():
+    """A displaced record is left alone by later traffic through its set."""
+    cache = VersionCache(GEOMETRY)
+    # Three versions into one set (lines differ by N_SETS): two ways.
+    cache.install(0, 1, dirty=True, committed=False, now=1.0)
+    cache.install(N_SETS, 2, dirty=False, committed=True, now=2.0)
+    victim = cache.install(2 * N_SETS, 3, dirty=True, committed=True,
+                           now=3.0)
+    assert _fields(victim) == (0, 1, True, False, 1.0)
+    # Later installs, touches and bulk ops in the victim's set.
+    cache.install(N_SETS, 2, dirty=True, committed=False, now=4.0)
+    cache.install(3 * N_SETS, 1, dirty=False, committed=False, now=5.0)
+    cache.mark_committed(1)
+    cache.drain_task(3, clean=True)
+    cache.install(4 * N_SETS, ARCH_TASK_ID, dirty=True, committed=True,
+                  now=6.0)
+    assert _fields(victim) == (0, 1, True, False, 1.0)
+    # Re-installing the victim's key builds a new record.
+    cache.install(0, 1, dirty=False, committed=True, now=7.0)
+    again = cache.find(0, 1)
+    assert again is not None and again is not victim
+    assert _fields(again) == (0, 1, False, True, 7.0)
+    assert _fields(victim) == (0, 1, True, False, 1.0)
+
+
 # ----------------------------------------------------------------------
-# Directory: interned rows vs per-word two-dict reference
+# Directory: per-word records vs per-word two-dict reference
 # ----------------------------------------------------------------------
 
 class ReferenceDirectory:
@@ -293,8 +310,3 @@ def test_directory_rows_lockstep_with_reference(ops):
                         == reference.version_for_read(word, bound))
         assert directory.final_image() == reference.final_image()
         assert directory.words_written() == reference.words_written()
-        # Row-column consistency: _row and _words are exact inverses.
-        for word, row in directory._row.items():
-            assert directory._words[row] == word
-        assert len(directory._producers) == len(directory._words)
-        assert len(directory._readers) == len(directory._words)

@@ -9,6 +9,8 @@ single-flight collapse of concurrent identical submissions, streamed
 per-cell progress, and structured 4xx errors for every refusal.
 """
 
+import errno
+import socket
 import statistics
 import threading
 import time
@@ -112,6 +114,22 @@ def test_digest_mismatch_is_detected():
                            "total_cycles": 1}}
     with pytest.raises(ServiceClientError, match="digest"):
         ServiceClient.result_from_envelope(envelope)
+
+
+def test_a_taken_port_fails_start_at_once_with_the_bind_error():
+    held = socket.socket()
+    held.bind(("127.0.0.1", 0))
+    held.listen()
+    service = SimulationService(use_disk=False, jobs=1)
+    try:
+        started = time.monotonic()
+        with pytest.raises(OSError) as caught:
+            ServiceThread(service, port=held.getsockname()[1]).start()
+        assert time.monotonic() - started < 5
+        assert caught.value.errno == errno.EADDRINUSE
+    finally:
+        service.close()
+        held.close()
 
 
 def test_warm_lookup_is_fast(client):
